@@ -133,8 +133,6 @@ pub fn tinyllm_layers(
     reqs: &[Req],
     queue_wait_ms: &[f64],
     profile: &Profile,
-    recording: &Recording,
-    pool_before: &PoolUtilization,
     untraced_busy_s: f64,
 ) -> Vec<(&'static str, f64)> {
     let ms = |v: Vec<f64>, q: f64| percentile(&v, q).unwrap_or(0.0);
@@ -203,12 +201,6 @@ pub fn tinyllm_layers(
     let logits_ms = kernel_ms(profile, "logits");
     let append_ms = kernel_ms(profile, "kv_append");
 
-    let pool_busy: f64 = gauge(recording, metrics::POOL_BUSY_S)
-        - pool_before.workers.iter().map(|u| u.busy_s).sum::<f64>();
-    let pool_idle: f64 = gauge(recording, metrics::POOL_IDLE_S)
-        - pool_before.workers.iter().map(|u| u.idle_s).sum::<f64>();
-    let dispatch_wait =
-        gauge(recording, metrics::POOL_DISPATCH_WAIT_S) - pool_before.dispatch_wait_s;
     let busy = probe.busy_s();
 
     vec![
@@ -285,14 +277,33 @@ pub fn tinyllm_layers(
             per_s(8.0 * w.rows * h * layers, append_ms),
         ),
         (
-            "pool.busy_frac",
-            pool_busy / (pool_busy + pool_idle).max(1e-9),
-        ),
-        ("pool.dispatch_wait_frac", dispatch_wait / busy.max(1e-9)),
-        (
             "trace.overhead_frac",
             busy / untraced_busy_s.max(1e-9) - 1.0,
         ),
+    ]
+}
+
+/// The worker pool's metrics from the pool gauges a multi-lane pass
+/// recorded: workers' share of time busy, and the stepping thread's
+/// dispatch wait as a share of the pass's busy seconds. `before` is the
+/// pool's utilization when the pass started.
+#[must_use]
+pub fn pool_layers(
+    recording: &Recording,
+    before: &PoolUtilization,
+    busy_s: f64,
+) -> Vec<(&'static str, f64)> {
+    let pool_busy: f64 = gauge(recording, metrics::POOL_BUSY_S)
+        - before.workers.iter().map(|u| u.busy_s).sum::<f64>();
+    let pool_idle: f64 = gauge(recording, metrics::POOL_IDLE_S)
+        - before.workers.iter().map(|u| u.idle_s).sum::<f64>();
+    let dispatch_wait = gauge(recording, metrics::POOL_DISPATCH_WAIT_S) - before.dispatch_wait_s;
+    vec![
+        (
+            "pool.busy_frac",
+            pool_busy / (pool_busy + pool_idle).max(1e-9),
+        ),
+        ("pool.dispatch_wait_frac", dispatch_wait / busy_s.max(1e-9)),
     ]
 }
 

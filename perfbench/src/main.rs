@@ -4,7 +4,7 @@
 //! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
-//! Every workload (`chat_decode`, `long_prompt`, `multiturn_prefix`)
+//! Every workload (`long_prompt`, `multiturn_prefix`)
 //! drives the real `ContinuousBatcher` with an open-loop schedule. With
 //! `--trace 0` the run reports the end-to-end metrics, untraced; with
 //! `--trace 1` it reports the per-layer metrics of a separate traced
@@ -26,9 +26,9 @@ use std::time::Instant;
 use distserve_telemetry::Recorder;
 use tinyllm::{ContinuousBatcher, GenRequest, Model};
 
-use crate::serve::{build_model, drive, Engine, Probe};
-use crate::stats::{goodput_search, median, percentile, StepClass};
-use crate::workload::{generate, Mix, Req, Spec};
+use crate::serve::{build_model, drive, host_lanes, Engine, Outcome, Probe, SERVE_LANES};
+use crate::stats::{goodput, median, percentile, ramp_windows, StepClass};
+use crate::workload::{generate, ramp, ramp_rate, Mix, Req, Spec};
 
 /// Every end-to-end metric, with its unit, in `BENCHMARK.json` order.
 const END_TO_END: &[(&str, &str)] = &[
@@ -37,7 +37,6 @@ const END_TO_END: &[(&str, &str)] = &[
     ("tpot_p50_ms", "ms"),
     ("slo_attainment", "frac"),
     ("goodput_rps", "1/s"),
-    ("req_per_busy_s", "1/s"),
     ("peak_rss_mb", "MB"),
 ];
 
@@ -46,15 +45,23 @@ const ATTAINMENT_TARGET: f64 = 0.9;
 /// Set-ups timed before each tinyllm probe; the median over the run is
 /// reported.
 const SETUPS_PER_PROBE: usize = 2;
-/// Bisection probes of the goodput search.
-const PROBES: usize = 4;
+/// Ramps of the goodput search; goodput is their median.
+const RAMPS: usize = 4;
+/// Share of the run's seconds a ramp takes to climb its whole rate
+/// range. It stops sending at the backlog cap, well before the top.
+const RAMP_SHARE: f64 = 0.17;
+/// Waiting requests at which a ramp stops sending. At every knee this
+/// engine has shown, a queue this long is far past each TTFT limit, so
+/// later requests could only miss.
+const BACKLOG_CAP: usize = 64;
+/// Requests per window in which a ramp's attainment is read.
+const RAMP_WINDOW: usize = 40;
 /// Requests whose tokens are checked against the reference tier.
 const SAMPLE: usize = 6;
-/// Share of the run's seconds spent at the nominal rate; the rest goes
-/// to the goodput search.
-const NOMINAL_SHARE: f64 = 0.45;
-/// Share of a traced run's seconds for each of its two engine passes.
-const TRACED_SHARE: f64 = 0.35;
+/// Share of the run's seconds spent at the nominal rate.
+const NOMINAL_SHARE: f64 = 0.3;
+/// Share of a traced run's seconds for each of its three serving passes.
+const TRACED_SHARE: f64 = 0.3;
 
 struct Args {
     workload: String,
@@ -137,7 +144,7 @@ fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// A probe's own seed, distinct per rate probe of one run.
+/// A probe's own seed, distinct per ramp of one run.
 fn probe_seed(seed: u64, k: u64) -> u64 {
     seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(k)
 }
@@ -211,15 +218,14 @@ fn check_sample(model: &Model, spec: &Spec, reqs: &[Req], probe: &Probe) -> usiz
 
 /// The shape each tinyllm workload claims, measured on its nominal
 /// probe: where busy time goes and how much of the prompt the cache
-/// served. Unshared mixes must stay near zero hits, so the multi-turn
-/// mix's hit rate is far above theirs.
+/// served. The unshared mix must stay near zero hits, so the multi-turn
+/// mix's hit rate is far above its.
 fn property_check(spec: &Spec, probe: &Probe) -> bool {
     let busy = probe.busy_s().max(1e-9);
     let decode = probe.busy_in(StepClass::Decode) / busy;
     let prefill = probe.busy_in(StepClass::Prefill) / busy;
     let hit = probe.cache.token_hit_rate();
     let ok = match spec.mix {
-        Mix::ChatDecode => decode > 0.5 && hit <= 0.05,
         Mix::LongPrompt => prefill > 0.5 && hit <= 0.05,
         Mix::MultiturnPrefix => hit >= 0.3,
     };
@@ -230,8 +236,8 @@ fn property_check(spec: &Spec, probe: &Probe) -> bool {
     ok
 }
 
-/// Requests of the nominal probe: the nominal share of the run's
-/// seconds, and never fewer than the windowed medians need.
+/// Requests at the nominal rate over the whole run: the nominal share
+/// of the run's seconds, and never fewer than 200.
 fn nominal_requests(spec: &Spec, seconds: f64) -> usize {
     ((spec.nominal_rps * seconds * NOMINAL_SHARE) as usize).max(200)
 }
@@ -244,7 +250,7 @@ fn set_up(setups: &mut Vec<f64>) -> (Model, Engine) {
     for _ in 0..SETUPS_PER_PROBE {
         drop(built.take());
         let t = Instant::now();
-        let model = build_model();
+        let model = build_model(SERVE_LANES);
         let engine = Engine::new(&model, None);
         setups.push(t.elapsed().as_secs_f64());
         built = Some((model, engine));
@@ -254,48 +260,71 @@ fn set_up(setups: &mut Vec<f64>) -> (Model, Engine) {
 
 fn tinyllm_end_to_end(spec: &Spec, args: &Args) -> Report {
     let mut setups = Vec::new();
-    let (model, mut engine) = set_up(&mut setups);
-    let n = nominal_requests(spec, args.seconds);
-    let reqs = generate(spec.mix, n, spec.nominal_rps, args.seed);
-    let probe = drive(&mut engine, &reqs, false);
-    let out = probe.analyze(&reqs, spec.ttft_slo_ms, spec.tpot_slo_ms);
-    log_probe("nominal", spec.nominal_rps, out.sent, out.ok, out.slo_ok);
-    let mut attempted = out.sent;
-    let mut failed = out.failed();
-    let mut bad_sleeps = probe.bad_sleeps;
-    drop(engine);
+    let slice = nominal_requests(spec, args.seconds) / RAMPS;
+    let (lo, hi) = spec.ramp_rps;
+    let ramp_s = args.seconds * RAMP_SHARE;
+    let mut out = Outcome::default();
+    let (mut attempted, mut failed, mut bad_sleeps, mut mismatches) = (0, 0, 0, 0);
+    let mut shape_ok = true;
+    let mut lag_ms = Vec::new();
+    let mut ramps = Vec::new();
+    // The nominal run comes in one slice before each ramp, so its
+    // medians span the whole run rather than one stretch of the host.
+    for k in 1..=RAMPS as u64 {
+        let (model, mut engine) = set_up(&mut setups);
+        let seed = if k == 1 {
+            args.seed
+        } else {
+            probe_seed(args.seed, RAMPS as u64 + k)
+        };
+        let reqs = generate(spec.mix, slice, spec.nominal_rps, seed);
+        let probe = drive(&mut engine, &reqs, false, None);
+        let o = probe.analyze(&reqs, spec.ttft_slo_ms, spec.tpot_slo_ms);
+        log_probe("nominal", spec.nominal_rps, o.sent, o.ok, o.slo_ok);
+        lag_ms.extend(
+            reqs.iter()
+                .zip(&probe.submit_s)
+                .map(|(r, s)| (s - r.due_s) * 1e3),
+        );
+        bad_sleeps += probe.bad_sleeps;
+        if k == 1 {
+            mismatches = check_sample(&model, spec, &reqs, &probe);
+        }
+        shape_ok &= property_check(spec, &probe);
+        out.merge(o);
+        drop(engine);
 
-    // Each search probe offers about the same number of requests as the
-    // remaining seconds allow at the probed rate.
-    let search_s = args.seconds * (1.0 - NOMINAL_SHARE) / PROBES as f64;
-    let mut k = 0;
-    let goodput = goodput_search(
-        (spec.nominal_rps, out.attainment()),
-        spec.ceiling_rps,
-        PROBES,
-        ATTAINMENT_TARGET,
-        |rate| {
-            k += 1;
-            let m = ((rate * search_s) as usize).max(50);
-            let r = generate(spec.mix, m, rate, probe_seed(args.seed, k));
-            let (_, mut engine) = set_up(&mut setups);
-            let p = drive(&mut engine, &r, false);
-            let o = p.analyze(&r, spec.ttft_slo_ms, spec.tpot_slo_ms);
-            log_probe("search", rate, o.sent, o.ok, o.slo_ok);
-            attempted += o.sent;
-            failed += o.failed();
-            bad_sleeps += p.bad_sleeps;
-            o.attainment()
-        },
-    );
-    eprintln!(
-        "  goodput {:.3} rps at attainment >= {ATTAINMENT_TARGET}",
-        goodput.rate
-    );
-
-    let mismatches = check_sample(&model, spec, &reqs, &probe);
-    failed += mismatches;
-    let shape_ok = property_check(spec, &probe);
+        // The ramp climbs the workload's rate range; its windows give
+        // the attainment curve, and its goodput is where that curve last
+        // crosses the target.
+        let r = ramp(spec.mix, lo, hi, ramp_s, probe_seed(args.seed, k));
+        let (_, mut engine) = set_up(&mut setups);
+        let p = drive(&mut engine, &r, false, Some(BACKLOG_CAP));
+        let o = p.analyze(&r, spec.ttft_slo_ms, spec.tpot_slo_ms);
+        let along: Vec<(f64, bool)> = r
+            .iter()
+            .zip(&o.met)
+            .map(|(req, &met)| (ramp_rate(lo, hi, ramp_s, req.due_s), met))
+            .collect();
+        let windows = ramp_windows(&along, RAMP_WINDOW);
+        let g = goodput(&windows, ATTAINMENT_TARGET);
+        let top = along.last().map_or(lo, |a| a.0);
+        log_probe("ramp", top, o.sent, o.ok, o.slo_ok);
+        let curve: Vec<String> = windows
+            .iter()
+            .map(|(rate, a)| format!("{rate:.0}:{a:.2}"))
+            .collect();
+        eprintln!("    rate:attainment by window {}", curve.join(" "));
+        eprintln!("    goodput {g:.3} rps");
+        attempted += o.sent;
+        failed += o.failed();
+        bad_sleeps += p.bad_sleeps;
+        ramps.push(g);
+    }
+    attempted += out.sent;
+    failed += out.failed() + mismatches;
+    let goodput_rps = median(&ramps);
+    eprintln!("  goodput {goodput_rps:.3} rps at attainment >= {ATTAINMENT_TARGET} (median of {RAMPS} ramps)");
     for (name, v) in out.tails() {
         eprintln!(
             "  {name}: {:.3} (reported by --trace 1)",
@@ -304,15 +333,7 @@ fn tinyllm_end_to_end(spec: &Spec, args: &Args) -> Report {
     }
     eprintln!(
         "  driver: {bad_sleeps} sleeps with work due, nominal lag p99 {:.3} ms",
-        percentile(
-            &reqs
-                .iter()
-                .zip(&probe.submit_s)
-                .map(|(r, s)| (s - r.due_s) * 1e3)
-                .collect::<Vec<_>>(),
-            0.99
-        )
-        .unwrap_or(0.0)
+        percentile(&lag_ms, 0.99).unwrap_or(0.0)
     );
 
     let mut metrics = BTreeMap::new();
@@ -330,8 +351,7 @@ fn tinyllm_end_to_end(spec: &Spec, args: &Args) -> Report {
     }
     metrics.insert("setup_s", median(&setups));
     metrics.insert("slo_attainment", out.attainment());
-    metrics.insert("goodput_rps", goodput.rate);
-    metrics.insert("req_per_busy_s", out.ok as f64 / probe.busy_s().max(1e-9));
+    metrics.insert("goodput_rps", goodput_rps);
     metrics.insert("peak_rss_mb", peak_rss_mb());
     Report {
         correct: mismatches == 0 && out.failed() == 0 && bad_sleeps == 0 && shape_ok && complete,
@@ -356,29 +376,32 @@ fn write_spans(args: &Args, probe: &Probe) {
 }
 
 fn tinyllm_layers(spec: &Spec, args: &Args) -> Report {
-    let model = build_model();
+    let model = build_model(SERVE_LANES);
     let t0 = Instant::now();
-    // Two passes over the same inputs take most of the run's seconds.
+    // Three passes over the same inputs take most of the run's seconds.
     let n = (spec.nominal_rps * args.seconds * TRACED_SHARE) as usize;
     let reqs = generate(spec.mix, n, spec.nominal_rps, args.seed);
 
     // The same inputs untraced first: the base of the overhead ratio.
     let untraced_busy = {
         let mut engine = Engine::new(&model, None);
-        drive(&mut engine, &reqs, false).busy_s()
+        drive(&mut engine, &reqs, false, None).busy_s()
     };
 
     let recorder = Arc::new(Recorder::new());
     let mut engine = Engine::new(&model, Some(recorder.clone()));
-    let pool_before = model.pool_utilization();
     distserve_prof::reset();
     distserve_prof::set_enabled(true);
-    let probe = drive(&mut engine, &reqs, true);
+    let probe = drive(&mut engine, &reqs, true, None);
     distserve_prof::set_enabled(false);
     let profile = distserve_prof::snapshot();
-    let recording = recorder.snapshot();
+    drop(engine);
     let out = probe.analyze(&reqs, spec.ttft_slo_ms, spec.tpot_slo_ms);
     log_probe("traced", spec.nominal_rps, out.sent, out.ok, out.slo_ok);
+    eprintln!(
+        "  recorder: {} telemetry events",
+        recorder.snapshot().events.len()
+    );
     write_spans(args, &probe);
 
     let mismatches = check_sample(&model, spec, &reqs, &probe);
@@ -389,8 +412,6 @@ fn tinyllm_layers(spec: &Spec, args: &Args) -> Report {
         &reqs,
         &out.queue_wait_ms,
         &profile,
-        &recording,
-        &pool_before,
         untraced_busy,
     );
     let mut metrics: BTreeMap<&'static str, f64> = layer.into_iter().collect();
@@ -403,6 +424,8 @@ fn tinyllm_layers(spec: &Spec, args: &Args) -> Report {
             None => complete = false,
         }
     }
+    metrics.extend(pool_pass(&reqs));
+    eprintln!("  driver: {} sleeps with work due", probe.bad_sleeps);
     let mut lost = 0;
     if spec.mix == Mix::MultiturnPrefix {
         // The router is measured on this mix's session shape.
@@ -426,6 +449,23 @@ fn tinyllm_layers(spec: &Spec, args: &Args) -> Report {
         failed: (out.failed() + mismatches) as u64 + lost,
         metrics,
     }
+}
+
+/// The worker pool, which serving at [`SERVE_LANES`] leaves idle: the
+/// same inputs again on a model with one lane per core, its pool gauges
+/// recorded. Empty on a one-core host.
+fn pool_pass(reqs: &[Req]) -> Vec<(&'static str, f64)> {
+    let lanes = host_lanes();
+    if lanes < 2 {
+        return Vec::new();
+    }
+    let model = build_model(lanes);
+    let recorder = Arc::new(Recorder::new());
+    let mut engine = Engine::new(&model, Some(recorder.clone()));
+    let before = model.pool_utilization();
+    let busy = drive(&mut engine, reqs, false, None).busy_s();
+    eprintln!("  [{:6.2}s] pool pass at {lanes} lanes", elapsed());
+    layers::pool_layers(&recorder.snapshot(), &before, busy)
 }
 
 /// Simulated requests per router run.
@@ -497,7 +537,7 @@ fn main() {
         args.seed,
         args.seconds,
         u8::from(args.trace),
-        serve::threads()
+        SERVE_LANES
     );
     let Some(spec) = workload::spec(&args.workload) else {
         eprintln!("perfbench: unknown workload {}", args.workload);

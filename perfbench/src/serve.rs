@@ -15,7 +15,7 @@ use tinyllm::{
     ComputeConfig, ContinuousBatcher, GenRequest, Model, Precision, PrefixReuse, TinyConfig,
 };
 
-use crate::stats::{inter_token_gaps, token_times, windowed_percentile, StepClass};
+use crate::stats::{inter_token_gaps, tail_percentile, token_times, StepClass};
 use crate::workload::{Req, MAX_SEQ};
 
 /// Fixed model weights: every run serves the same model.
@@ -27,10 +27,6 @@ pub const BLOCK: usize = 16;
 pub const CACHE_BLOCKS: usize = 512;
 /// The batcher's cap on concurrently running requests.
 const MAX_RUNNING: usize = 64;
-/// Consecutive windows a run's latencies are cut into: each latency
-/// metric is the median of the windows' percentiles, so a slow stretch of
-/// a shared host moves one window, not the result.
-const WINDOWS: usize = 5;
 
 /// KV pool: the cache's capacity plus the largest running footprint
 /// (`MAX_RUNNING` requests of `MAX_SEQ` tokens), so admission, which
@@ -39,19 +35,27 @@ fn kv_tokens() -> usize {
     (CACHE_BLOCKS + MAX_RUNNING * MAX_SEQ / BLOCK) * BLOCK
 }
 
-/// Compute lanes: one per available core, the caller's included.
+/// Compute lanes of the served model: one, the caller's. On a shared
+/// 2-vCPU host a second lane made serving slower and noisier, not
+/// faster: the stepping thread waited on the pool for 40–48% of its
+/// busy time and the decode-step p99 rose 2–4×. The pool is still
+/// measured, by the traced run's pass at [`host_lanes`].
+pub const SERVE_LANES: usize = 1;
+
+/// One lane per available core, the caller's included.
 #[must_use]
-pub fn threads() -> usize {
+pub fn host_lanes() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Builds the served model: `TinyConfig::small()`, f32, one lane per
-/// core. Weight generation, packing and the pool start happen here.
+/// Builds the served model: `TinyConfig::small()`, f32, fixed weights,
+/// `lanes` compute lanes. Weight generation, packing and the pool start
+/// happen here.
 #[must_use]
-pub fn build_model() -> Model {
+pub fn build_model(lanes: usize) -> Model {
     let compute = ComputeConfig {
         precision: Precision::F32,
-        threads: threads(),
+        threads: lanes,
     };
     Model::random_with(&TinyConfig::small(), WEIGHT_SEED, compute)
 }
@@ -213,6 +217,8 @@ pub struct StepRec {
 
 /// Everything one open-loop probe recorded.
 pub struct Probe {
+    /// Requests submitted: a prefix of the probe's requests.
+    pub sent: usize,
     /// When each request was submitted, seconds since the probe start.
     pub submit_s: Vec<f64>,
     /// Steps in order (step `k` of the probe is `steps[k - 1]`).
@@ -264,11 +270,12 @@ fn cache_delta(a: CacheStats, b: CacheStats) -> CacheStats {
 }
 
 /// Offers `reqs` (sorted by due time) at their due times and steps the
-/// batcher, cache attached, until every request has finished. The
+/// batcher, cache attached, until every request sent has finished. The
 /// driver runs on the caller's thread, which is also one compute lane:
 /// it submits whatever is due before each step and sleeps only when
-/// nothing is queued or running.
-pub fn drive(engine: &mut Engine, reqs: &[Req], traced: bool) -> Probe {
+/// nothing is queued or running. With a `backlog_cap`, it stops sending
+/// once that many requests wait for admission: the rest are not sent.
+pub fn drive(engine: &mut Engine, reqs: &[Req], traced: bool, backlog_cap: Option<usize>) -> Probe {
     engine.reset_cache();
     let n = reqs.len();
     let id_base = engine.fresh_ids(n as u64);
@@ -291,8 +298,14 @@ pub fn drive(engine: &mut Engine, reqs: &[Req], traced: bool) -> Probe {
     };
     let batcher = &mut engine.batcher;
     let mut next = 0;
+    let mut sent = n;
     loop {
-        while next < n && reqs[next].due_s <= now() {
+        if backlog_cap.is_some_and(|cap| batcher.waiting_len() >= cap) {
+            sent = sent.min(next);
+        }
+        // When the submitting stopped: the next request was not yet due.
+        let mut checked = now();
+        while next < sent && reqs[next].due_s <= checked {
             let start = now();
             batcher.submit(GenRequest {
                 id: id_base + next as u64,
@@ -303,6 +316,7 @@ pub fn drive(engine: &mut Engine, reqs: &[Req], traced: bool) -> Probe {
             tap.unmatched.push_back(next);
             tap.record("submit", next, start);
             next += 1;
+            checked = now();
         }
         let waiting_before = batcher.waiting_len();
         let running_before = batcher.running_len();
@@ -332,12 +346,14 @@ pub fn drive(engine: &mut Engine, reqs: &[Req], traced: bool) -> Probe {
             });
             continue;
         }
-        if next == n {
+        if next == sent {
             break;
         }
         // Nothing queued or running: idle until the next arrival. The
-        // check guards the loop's invariant, not the OS timer.
-        if batcher.waiting_len() + batcher.running_len() > 0 || reqs[next].due_s <= now() {
+        // check guards the loop's invariant, not the OS timer: an arrival
+        // falling due since `checked` is submitted as soon as the sleep
+        // returns, which it does at once.
+        if batcher.waiting_len() + batcher.running_len() > 0 || reqs[next].due_s <= checked {
             bad_sleeps += 1;
         }
         sleep_until(t0, reqs[next].due_s);
@@ -354,7 +370,9 @@ pub fn drive(engine: &mut Engine, reqs: &[Req], traced: bool) -> Probe {
             *slot = Some(f);
         }
     }
+    submit_s.truncate(sent);
     Probe {
+        sent,
         submit_s,
         steps,
         finished,
@@ -381,6 +399,8 @@ pub struct Outcome {
     /// Per-request mean gap after the first token, ms (two or more
     /// tokens).
     pub tpot_ms: Vec<f64>,
+    /// Whether each request sent met both limits, in sending order.
+    pub met: Vec<bool>,
     /// Every gap between consecutive output tokens, ms.
     pub itl_ms: Vec<f64>,
     /// Admission wait (submit to the start of the prefill step), ms.
@@ -394,24 +414,31 @@ impl Outcome {
         self.slo_ok as f64 / self.sent.max(1) as f64
     }
 
+    /// Adds `other`'s requests to this outcome.
+    pub fn merge(&mut self, other: Outcome) {
+        self.sent += other.sent;
+        self.ok += other.ok;
+        self.slo_ok += other.slo_ok;
+        self.met.extend(other.met);
+        self.ttft_ms.extend(other.ttft_ms);
+        self.tpot_ms.extend(other.tpot_ms);
+        self.itl_ms.extend(other.itl_ms);
+        self.queue_wait_ms.extend(other.queue_wait_ms);
+    }
+
     /// Requests sent that did not finish correctly.
     #[must_use]
     pub fn failed(&self) -> usize {
         self.sent - self.ok
     }
 
-    /// Median TTFT and TPOT: the gated `*_p50_ms` metrics.
+    /// Median TTFT and TPOT over every finished request: the gated
+    /// `*_p50_ms` metrics.
     #[must_use]
     pub fn medians(&self) -> [(&'static str, Option<f64>); 2] {
         [
-            (
-                "ttft_p50_ms",
-                windowed_percentile(&self.ttft_ms, 0.5, WINDOWS),
-            ),
-            (
-                "tpot_p50_ms",
-                windowed_percentile(&self.tpot_ms, 0.5, WINDOWS),
-            ),
+            ("ttft_p50_ms", tail_percentile(&self.ttft_ms, 0.5)),
+            ("tpot_p50_ms", tail_percentile(&self.tpot_ms, 0.5)),
         ]
     }
 
@@ -424,18 +451,9 @@ impl Outcome {
     #[must_use]
     pub fn tails(&self) -> [(&'static str, Option<f64>); 3] {
         [
-            (
-                "tail.ttft_p90_ms",
-                windowed_percentile(&self.ttft_ms, 0.9, WINDOWS),
-            ),
-            (
-                "tail.tpot_p90_ms",
-                windowed_percentile(&self.tpot_ms, 0.9, WINDOWS),
-            ),
-            (
-                "tail.itl_p90_ms",
-                windowed_percentile(&self.itl_ms, 0.9, WINDOWS),
-            ),
+            ("tail.ttft_p90_ms", tail_percentile(&self.ttft_ms, 0.9)),
+            ("tail.tpot_p90_ms", tail_percentile(&self.tpot_ms, 0.9)),
+            ("tail.itl_p90_ms", tail_percentile(&self.itl_ms, 0.9)),
         ]
     }
 }
@@ -460,10 +478,11 @@ impl Probe {
             class.push(s.class);
         }
         let mut out = Outcome {
-            sent: reqs.len(),
+            sent: self.sent,
+            met: vec![false; self.sent],
             ..Outcome::default()
         };
-        for (i, req) in reqs.iter().enumerate() {
+        for (i, req) in reqs[..self.sent].iter().enumerate() {
             let Some(f) = &self.finished[i] else { continue };
             let (Some(first), Some(last)) = (
                 self.step_index(f.first_token_step),
@@ -489,6 +508,7 @@ impl Probe {
             }
             if ttft <= ttft_slo_ms && tpot.is_none_or(|t| t <= tpot_slo_ms) {
                 out.slo_ok += 1;
+                out.met[i] = true;
             }
         }
         out
@@ -522,6 +542,7 @@ impl Probe {
     /// A probe with only finished generations and cached-token counts.
     pub fn for_test(finished: Vec<Option<FinishedGen>>, cached_tokens: Vec<usize>) -> Self {
         Probe {
+            sent: finished.len(),
             submit_s: vec![0.0; finished.len()],
             steps: Vec::new(),
             finished,

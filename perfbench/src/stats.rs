@@ -31,24 +31,6 @@ pub fn tail_percentile(samples: &[f64], q: f64) -> Option<f64> {
     percentile(samples, q)
 }
 
-/// The median, over `windows` consecutive equal slices of `samples`
-/// (kept in arrival order), of each slice's [`tail_percentile`]. A slow
-/// stretch of a shared host then moves one slice, not the result.
-/// `None` if any slice lacks ten samples beyond its percentile.
-#[must_use]
-pub fn windowed_percentile(samples: &[f64], q: f64, windows: usize) -> Option<f64> {
-    let len = samples.len() / windows.max(1);
-    if len == 0 {
-        return None;
-    }
-    let per_slice: Option<Vec<f64>> = samples
-        .chunks(len)
-        .take(windows)
-        .map(|slice| tail_percentile(slice, q))
-        .collect();
-    Some(median(&per_slice?))
-}
-
 /// Arithmetic mean (0 for no samples).
 #[must_use]
 pub fn mean(samples: &[f64]) -> f64 {
@@ -118,59 +100,41 @@ pub fn inter_token_gaps(times: &[f64]) -> Vec<f64> {
     times.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
-/// Outcome of [`goodput_search`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Goodput {
-    /// Highest rate estimated to meet the attainment target.
-    pub rate: f64,
-    /// Every `(rate, attainment)` pair probed, in probe order.
-    pub probes: Vec<(f64, f64)>,
+/// Attainment along a ramp: `requests` (offered rate at the request's due
+/// time, whether it met both limits), in sending order, cut into
+/// consecutive windows of `window` requests. Each window gives its mean
+/// offered rate and the share of its requests that met the limits; a
+/// last partial window is dropped.
+#[must_use]
+pub fn ramp_windows(requests: &[(f64, bool)], window: usize) -> Vec<(f64, f64)> {
+    requests
+        .chunks_exact(window.max(1))
+        .map(|w| {
+            let n = w.len() as f64;
+            let rate = w.iter().map(|r| r.0).sum::<f64>() / n;
+            let met = w.iter().filter(|r| r.1).count() as f64 / n;
+            (rate, met)
+        })
+        .collect()
 }
 
-/// Highest offered rate whose SLO attainment is at least `target`.
-///
-/// `known` is an already measured `(rate, attainment)` point that meets
-/// the target (the nominal-rate run); `hi` a rate assumed to miss it.
-/// The bracket is bisected geometrically `probes` times by calling
-/// `attain(rate)`; the answer is the linear interpolation of attainment
-/// between the last passing and the last failing probe, so it moves
-/// smoothly with the measured curve instead of snapping to a grid. An
-/// unprobed `hi` counts as attainment 0. If `known` itself misses the
-/// target, the rate is scaled down by the shortfall.
-pub fn goodput_search(
-    known: (f64, f64),
-    hi: f64,
-    probes: usize,
-    target: f64,
-    mut attain: impl FnMut(f64) -> f64,
-) -> Goodput {
-    let mut seen = Vec::new();
-    let (mut lo_r, mut lo_a) = known;
-    if lo_a < target {
-        return Goodput {
-            rate: lo_r * lo_a / target,
-            probes: seen,
-        };
-    }
-    let (mut hi_r, mut hi_a) = (hi, 0.0);
-    for _ in 0..probes {
-        let mid = (lo_r * hi_r).sqrt();
-        let a = attain(mid);
-        seen.push((mid, a));
-        if a >= target {
-            (lo_r, lo_a) = (mid, a);
-        } else {
-            (hi_r, hi_a) = (mid, a);
+/// Highest offered rate whose SLO attainment is at least `target`, from
+/// a ramp's `(rate, attainment)` windows in rising rate order: where
+/// attainment falls below `target` for the last time, linear between the
+/// last window that meets it and the next. A window dented by a stall
+/// the engine recovered from does not end the search, because a longer
+/// run at that rate would still meet the target. If no window meets it,
+/// the first window's rate scaled down by its shortfall; with no
+/// windows, 0.
+#[must_use]
+pub fn goodput(points: &[(f64, f64)], target: f64) -> f64 {
+    match points.iter().rposition(|p| p.1 >= target) {
+        None => points.first().map_or(0.0, |p| p.0 * p.1 / target),
+        Some(i) if i + 1 == points.len() => points[i].0,
+        Some(i) => {
+            let ((r0, a0), (r1, a1)) = (points[i], points[i + 1]);
+            r0 + (a0 - target) / (a0 - a1) * (r1 - r0)
         }
-    }
-    let frac = if lo_a > hi_a {
-        ((lo_a - target) / (lo_a - hi_a)).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    Goodput {
-        rate: lo_r + frac * (hi_r - lo_r),
-        probes: seen,
     }
 }
 
@@ -203,27 +167,6 @@ mod tests {
         assert_eq!(tail_percentile(&v[..20], 0.5), Some(10.0));
         assert_eq!(tail_percentile(&v[..19], 0.5), None);
         assert_eq!(tail_percentile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn windowed_percentile_ignores_one_slow_window() {
-        // Five windows of 200 samples; the third is ten times slower.
-        let v: Vec<f64> = (0..1000)
-            .map(|i| {
-                let base = f64::from(i % 200 + 1);
-                if (400..600).contains(&i) {
-                    base * 10.0
-                } else {
-                    base
-                }
-            })
-            .collect();
-        assert_eq!(windowed_percentile(&v, 0.9, 5), Some(180.0));
-        // The whole-run p90 lands in the slow window.
-        assert!(percentile(&v, 0.9).unwrap() > 180.0);
-        // Each window needs ten samples beyond its percentile.
-        assert_eq!(windowed_percentile(&v[..495], 0.9, 5), None);
-        assert_eq!(windowed_percentile(&[], 0.5, 5), None);
     }
 
     #[test]
@@ -264,36 +207,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn goodput_search_finds_the_knee() {
-        let f = curve(100.0);
-        let g = goodput_search((40.0, f(40.0)), 200.0, 6, 0.9, &f);
-        assert_eq!(g.probes.len(), 6);
-        // Linear between the bracketing probes: exact on a linear drop.
-        assert!((g.rate - 100.0).abs() < 0.5, "{g:?}");
-        // Every probe lies inside the initial bracket.
-        assert!(g.probes.iter().all(|&(r, _)| r > 40.0 && r < 200.0));
+    /// `curve` sampled at 40, 45, …, 200.
+    fn points(f: impl Fn(f64) -> f64) -> Vec<(f64, f64)> {
+        (0..33)
+            .map(|k| 40.0 + 5.0 * f64::from(k))
+            .map(|r| (r, f(r)))
+            .collect()
     }
 
     #[test]
-    fn goodput_search_is_monotone_in_the_knee() {
+    fn ramp_windows_average_rate_and_attainment() {
+        let reqs = [
+            (10.0, true),
+            (20.0, true),
+            (30.0, true),
+            (40.0, false),
+            (50.0, true),
+        ];
+        assert_eq!(ramp_windows(&reqs, 2), vec![(15.0, 1.0), (35.0, 0.5)]);
+        assert!(ramp_windows(&reqs, 6).is_empty());
+    }
+
+    #[test]
+    fn goodput_finds_the_knee() {
+        // Linear between the bracketing points: exact on a linear drop.
+        let g = goodput(&points(curve(100.0)), 0.9);
+        assert!((g - 100.0).abs() < 1e-9, "{g}");
+        // Between sampled rates too.
+        let g = goodput(&points(curve(102.0)), 0.9);
+        assert!((g - 102.0).abs() < 1e-9, "{g}");
+    }
+
+    #[test]
+    fn goodput_is_monotone_in_the_knee() {
         let mut last = 0.0;
         for knee in [60.0, 80.0, 100.0, 120.0, 140.0] {
-            let f = curve(knee);
-            let g = goodput_search((40.0, f(40.0)), 200.0, 8, 0.9, &f).rate;
+            let g = goodput(&points(curve(knee)), 0.9);
             assert!(g > last, "knee {knee}: {g} <= {last}");
             last = g;
         }
     }
 
     #[test]
-    fn goodput_search_edges() {
-        // Nominal point already misses: scaled down, no probes.
-        let g = goodput_search((50.0, 0.45), 200.0, 4, 0.9, |_| unreachable!());
-        assert_eq!(g.rate, 25.0);
-        assert!(g.probes.is_empty());
-        // Everything passes: converges toward the unprobed upper bound.
-        let g = goodput_search((50.0, 1.0), 200.0, 10, 0.9, |_| 1.0);
-        assert!(g.rate > 190.0 && g.rate <= 200.0, "{g:?}");
+    fn goodput_shrugs_off_one_dented_window() {
+        // The knee is at 100; the window at 60 alone reads 0.25.
+        let f = curve(100.0);
+        let dented = points(|r| if r == 60.0 { 0.25 } else { f(r) });
+        let g = goodput(&dented, 0.9);
+        assert!((g - 100.0).abs() < 1e-9, "{g}");
+    }
+
+    #[test]
+    fn goodput_edges() {
+        // No point meets the target: the first scaled down.
+        assert_eq!(goodput(&[(50.0, 0.45), (60.0, 0.2)], 0.9), 25.0);
+        // Everything passes: the last rate.
+        assert_eq!(goodput(&[(50.0, 1.0), (200.0, 0.95)], 0.9), 200.0);
+        assert_eq!(goodput(&[], 0.9), 0.0);
     }
 }

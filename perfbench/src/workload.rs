@@ -31,8 +31,6 @@ pub struct Req {
 /// Which generator a tinyllm workload uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mix {
-    /// Short unshared prompts, long outputs.
-    ChatDecode,
     /// Long unshared prompts, short outputs.
     LongPrompt,
     /// Multi-turn sessions with shared system prompts and history.
@@ -52,35 +50,29 @@ pub struct Spec {
     pub tpot_slo_ms: f64,
     /// Offered rate of the nominal-rate run, requests/s.
     pub nominal_rps: f64,
-    /// Rate assumed to miss the attainment target (search ceiling).
-    pub ceiling_rps: f64,
+    /// Offered rate at the start and at the end of a goodput ramp: below
+    /// the slowest knee and above the fastest one seen on the host the
+    /// limits were set on, so a faster engine has room to show.
+    pub ramp_rps: (f64, f64),
 }
 
-/// The three tinyllm workloads.
-pub const SPECS: [Spec; 3] = [
-    Spec {
-        name: "chat_decode",
-        mix: Mix::ChatDecode,
-        ttft_slo_ms: 50.0,
-        tpot_slo_ms: 5.0,
-        nominal_rps: 50.0,
-        ceiling_rps: 320.0,
-    },
+/// The tinyllm workloads.
+pub const SPECS: [Spec; 2] = [
     Spec {
         name: "long_prompt",
         mix: Mix::LongPrompt,
         ttft_slo_ms: 100.0,
         tpot_slo_ms: 15.0,
-        nominal_rps: 50.0,
-        ceiling_rps: 480.0,
+        nominal_rps: 20.0,
+        ramp_rps: (90.0, 260.0),
     },
     Spec {
         name: "multiturn_prefix",
         mix: Mix::MultiturnPrefix,
         ttft_slo_ms: 50.0,
         tpot_slo_ms: 10.0,
-        nominal_rps: 50.0,
-        ceiling_rps: 400.0,
+        nominal_rps: 30.0,
+        ramp_rps: (90.0, 230.0),
     },
 ];
 
@@ -138,10 +130,6 @@ fn grouped(
         .collect()
 }
 
-/// Requests per arrival group of the chat mix: a group decodes as one
-/// batch, so its steps and gaps are large next to the host's
-/// scheduling jitter.
-const CHAT_GROUP: usize = 8;
 /// Requests per arrival group of the long-prompt mix: three prompts of
 /// at most 160 tokens always fit one prefill step's 512-token budget, so
 /// a group never interrupts its own first members' decode.
@@ -152,6 +140,10 @@ const TENANTS: u32 = 4;
 const SYSTEM_TOKENS: u32 = 64;
 const MEAN_TURNS: f64 = 3.0;
 const THINK_MEAN_S: f64 = 0.5;
+/// Seconds of session traffic dropped before a run starts, so the
+/// stream is already in its steady state: at its start it holds only
+/// opening turns, and its rate is below the offered one.
+const BURN_IN_S: f64 = 3.0;
 
 /// Fresh user tokens and reply length of one turn.
 struct TurnLengths;
@@ -174,7 +166,9 @@ impl LengthSampler for TurnLengths {
 /// conversation, so a later turn re-sends exactly the tokens of the
 /// earlier turn's prompt and reply. Branching is off, so every history
 /// is a true prefix of the conversation. Turns that would pass the
-/// 512-token limit end the conversation's traffic.
+/// 512-token limit end the conversation's traffic. The first
+/// [`BURN_IN_S`] seconds are dropped: a run joins conversations already
+/// under way.
 fn sessions(n: usize, rate: f64, seed: u64) -> Vec<Req> {
     let mut merged: Vec<(u32, u64, SessionRequest)> = Vec::new();
     for tenant in 0..TENANTS {
@@ -204,6 +198,7 @@ fn sessions(n: usize, rate: f64, seed: u64) -> Vec<Req> {
                 })
                 .filter(|(_, _, s)| {
                     (s.request.input_len + s.request.output_len) as usize <= MAX_SEQ
+                        && s.request.arrival.as_secs() >= BURN_IN_S
                 })
                 .take(n),
         );
@@ -231,7 +226,7 @@ fn sessions(n: usize, rate: f64, seed: u64) -> Vec<Req> {
                 })
                 .collect();
             Req {
-                due_s: s.request.arrival.as_secs(),
+                due_s: s.request.arrival.as_secs() - BURN_IN_S,
                 prompt,
                 max_new: s.request.output_len as usize,
             }
@@ -255,19 +250,38 @@ pub fn generate(mix: Mix, n: usize, rate: f64, seed: u64) -> Vec<Req> {
     reqs
 }
 
+/// Requests of `mix` whose offered rate rises linearly from `lo` to `hi`
+/// requests/s over `seconds`, from `seed`: the mix's arrival process at
+/// the ramp's mean rate, with time warped so that the expected count by
+/// time `t` is `lo·t + (hi − lo)·t²/(2·seconds)`. Groups stay groups and
+/// sessions stay in order; think times stretch or shrink by at most the
+/// ratio of the mean rate to the current one.
+#[must_use]
+pub fn ramp(mix: Mix, lo: f64, hi: f64, seconds: f64, seed: u64) -> Vec<Req> {
+    let mean = (lo + hi) / 2.0;
+    let n = (mean * seconds) as usize;
+    let mut reqs = generate(mix, n, mean, seed);
+    let slope = (hi - lo) / seconds;
+    for r in &mut reqs {
+        // Expected arrivals by the request's due time at the mean rate.
+        let count = r.due_s * mean;
+        r.due_s = if slope > 0.0 {
+            ((lo * lo + 2.0 * slope * count).sqrt() - lo) / slope
+        } else {
+            count / lo
+        };
+    }
+    reqs
+}
+
+/// Offered rate of a [`ramp`] at `t` seconds.
+#[must_use]
+pub fn ramp_rate(lo: f64, hi: f64, seconds: f64, t: f64) -> f64 {
+    lo + (hi - lo) * t / seconds
+}
+
 fn draw(mix: Mix, n: usize, rate: f64, seed: u64) -> Vec<Req> {
     match mix {
-        Mix::ChatDecode => grouped(n, rate, CHAT_GROUP, seed, |rng| {
-            let p = uniform(rng, 8, 32);
-            // Most replies are short; one in twelve runs its context
-            // toward the 512-token limit.
-            let out = if rng.below(12) == 0 {
-                uniform(rng, 192, MAX_SEQ - p)
-            } else {
-                uniform(rng, 16, 96)
-            };
-            (p, out)
-        }),
         Mix::LongPrompt => grouped(n, rate, LONG_GROUP, seed, |rng| {
             (uniform(rng, 96, 160), uniform(rng, 12, 24))
         }),
@@ -296,6 +310,21 @@ mod tests {
             assert!(a
                 .iter()
                 .all(|r| r.prompt.len() + r.max_new <= MAX_SEQ && r.max_new >= 1));
+        }
+    }
+
+    #[test]
+    fn ramp_rate_rises_as_stated() {
+        for s in SPECS {
+            let reqs = ramp(s.mix, 100.0, 300.0, 10.0, 5);
+            assert_eq!(reqs.len(), 2000);
+            assert!(reqs.windows(2).all(|w| w[0].due_s <= w[1].due_s));
+            assert!((reqs[1999].due_s - 10.0).abs() < 1e-9);
+            // Each half of the ramp offers its expected count, within
+            // sampling noise: 750 and 1250.
+            let first = reqs.iter().filter(|r| r.due_s < 5.0).count() as f64;
+            let want = 5.0 * ramp_rate(100.0, 300.0, 10.0, 2.5);
+            assert!((first - want).abs() < 0.2 * want, "{}: {first}", s.name);
         }
     }
 
