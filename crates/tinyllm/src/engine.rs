@@ -281,7 +281,7 @@ pub(crate) fn attn_rows_strip(
 ///
 /// Dispatches to a width-monomorphized kernel for the standard shapes
 /// (`d == 8`, block size 16); the generic path handles everything else
-/// with identical operations in identical order.
+/// with, per head, identical operations in identical order.
 #[allow(clippy::too_many_arguments)]
 fn fused_attn_row(
     view: &KvLayerView<'_>,
@@ -296,51 +296,16 @@ fn fused_attn_row(
     out_row: &mut [f32],
 ) {
     let bs = view.block_size();
-    scr.sb.resize(bs * heads, 0.0);
     if bs == 16 && d == 8 {
-        match heads * d {
-            64 => {
-                return fused_attn_row_w::<64, 8>(
-                    view,
-                    ctx,
-                    q_s,
-                    lo,
-                    h,
-                    scale,
-                    &mut scr.sb,
-                    out_row,
-                )
-            }
-            32 => {
-                return fused_attn_row_w::<32, 8>(
-                    view,
-                    ctx,
-                    q_s,
-                    lo,
-                    h,
-                    scale,
-                    &mut scr.sb,
-                    out_row,
-                )
-            }
-            16 => {
-                return fused_attn_row_w::<16, 8>(
-                    view,
-                    ctx,
-                    q_s,
-                    lo,
-                    h,
-                    scale,
-                    &mut scr.sb,
-                    out_row,
-                )
-            }
-            8 => {
-                return fused_attn_row_w::<8, 8>(view, ctx, q_s, lo, h, scale, &mut scr.sb, out_row)
-            }
+        match heads {
+            8 => return fused_attn_row_w::<64, 8, 8>(view, ctx, q_s, lo, h, scale, out_row),
+            4 => return fused_attn_row_w::<32, 8, 4>(view, ctx, q_s, lo, h, scale, out_row),
+            2 => return fused_attn_row_w::<16, 8, 2>(view, ctx, q_s, lo, h, scale, out_row),
+            1 => return fused_attn_row_w::<8, 8, 1>(view, ctx, q_s, lo, h, scale, out_row),
             _ => {}
         }
     }
+    scr.sb.resize(bs * heads, 0.0);
     scr.m.resize(heads, 0.0);
     scr.m.fill(f32::NEG_INFINITY);
     scr.l.resize(heads, 0.0);
@@ -374,9 +339,13 @@ fn fused_attn_row(
             for a in out_row[hd * d..(hd + 1) * d].iter_mut() {
                 *a *= c;
             }
-            for v in row[..take].iter_mut() {
-                let e = exp_fast(*v - m_new);
-                *v = e;
+            // Exponentiate the whole block row in a pure map loop (it
+            // vectorizes; lanes past `take` are computed and never read),
+            // then sum the live lanes serially in position order.
+            for v in row.iter_mut() {
+                *v = exp_fast(*v - m_new);
+            }
+            for &e in &row[..take] {
                 l += e;
             }
             scr.m[hd] = m_new;
@@ -405,31 +374,34 @@ fn fused_attn_row(
     }
 }
 
-/// [`fused_attn_row`] monomorphized for a `W`-float shard of `D`-dim
-/// heads over block-size-16 panels: the value accumulator (and running
-/// max/normalizer) live in registers across the whole context sweep,
-/// and the inner loops are straight lines of const-indexed FMAs. Same
-/// operations in the same order as the generic path — bit-identical.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn fused_attn_row_w<const W: usize, const D: usize>(
+/// [`fused_attn_row`] monomorphized for a shard of `H` heads of `D` dims
+/// (`W = H · D` floats) over block-size-16 panels. Each block's scores
+/// are computed head-major from the key panel, then transposed to
+/// heads-in-lanes (`[position][head]`), so the block max, the rescale
+/// factor, the exponentials and the normalizer chain each advance all `H`
+/// heads per vector operation instead of running `H` dependent scalar
+/// chains back to back. Per head these are the generic path's operations
+/// in the generic path's order (positions ascending) — bit-identical. The
+/// value accumulator lives in registers across the whole context sweep.
+#[allow(clippy::needless_range_loop)]
+fn fused_attn_row_w<const W: usize, const D: usize, const H: usize>(
     view: &KvLayerView<'_>,
     ctx: usize,
     q_s: &[f32],
     lo: usize,
     h: usize,
     scale: f32,
-    sb: &mut [f32],
     out_row: &mut [f32],
 ) {
     const BS: usize = 16;
-    let heads = W / D;
+    debug_assert_eq!(H * D, W);
     let mut acc = [0.0f32; W];
-    // Per-head running state; only the first `heads` entries are live
-    // (`[f32; W / D]` is not expressible on stable const generics).
-    let mut mr = [f32::NEG_INFINITY; W];
-    let mut lr = [0.0f32; W];
+    let mut mr = [f32::NEG_INFINITY; H];
+    let mut lr = [0.0f32; H];
+    let mut sc = [[0.0f32; BS]; H];
+    let mut st = [[0.0f32; H]; BS];
     for (panel, (region, take)) in view.key_panels(ctx).zip(view.slot_regions(ctx)) {
-        for hd in 0..heads {
+        for (hd, row) in sc.iter_mut().enumerate() {
             let mut sa = [0.0f32; BS];
             for (l, &q) in q_s[hd * D..(hd + 1) * D].iter().enumerate() {
                 let dim_row: &[f32; BS] = panel[(lo + hd * D + l) * BS..][..BS]
@@ -439,45 +411,58 @@ fn fused_attn_row_w<const W: usize, const D: usize>(
                     *a += q * kv;
                 }
             }
-            let row = &mut sb[hd * BS..(hd + 1) * BS];
             for (dst, &a) in row.iter_mut().zip(&sa) {
                 *dst = a * scale;
             }
-            let mut bm = f32::NEG_INFINITY;
-            for &v in &row[..take] {
-                bm = bm.max(v);
-            }
-            let m_new = mr[hd].max(bm);
-            let c = exp_fast(mr[hd] - m_new);
-            let mut l = lr[hd] * c;
-            for a in acc[hd * D..(hd + 1) * D].iter_mut() {
-                *a *= c;
-            }
-            for v in row[..take].iter_mut() {
-                let e = exp_fast(*v - m_new);
-                *v = e;
-                l += e;
-            }
-            mr[hd] = m_new;
-            lr[hd] = l;
         }
-        for s in 0..take {
+        for (s, t) in st.iter_mut().enumerate() {
+            for (hd, v) in t.iter_mut().enumerate() {
+                *v = sc[hd][s];
+            }
+        }
+        let mut bm = [f32::NEG_INFINITY; H];
+        for t in &st[..take] {
+            for (b, &v) in bm.iter_mut().zip(t) {
+                *b = b.max(v);
+            }
+        }
+        let mut c = [0.0f32; H];
+        for hd in 0..H {
+            let m_new = mr[hd].max(bm[hd]);
+            c[hd] = exp_fast(mr[hd] - m_new);
+            lr[hd] *= c[hd];
+            mr[hd] = m_new;
+        }
+        // Flat `W`-wide loops with the head index `i / D`, so the
+        // per-head broadcasts become vector shuffles and `acc` stays in
+        // registers.
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a *= c[i / D];
+        }
+        // A pure map over the whole block (it vectorizes; rows past
+        // `take` are computed and never read), then the normalizer sums
+        // the live rows in position order.
+        for t in st.iter_mut() {
+            for (v, &m) in t.iter_mut().zip(&mr) {
+                *v = exp_fast(*v - m);
+            }
+        }
+        for t in &st[..take] {
+            for (l, &e) in lr.iter_mut().zip(t) {
+                *l += e;
+            }
+        }
+        for (s, t) in st[..take].iter().enumerate() {
             let v_s: &[f32; W] = region[s * 2 * h + h + lo..][..W]
                 .try_into()
                 .expect("W-wide V slice");
-            for hd in 0..heads {
-                let w = sb[hd * BS + s];
-                for l in 0..D {
-                    acc[hd * D + l] += w * v_s[hd * D + l];
-                }
+            for (i, (a, &v)) in acc.iter_mut().zip(v_s).enumerate() {
+                *a += t[i / D] * v;
             }
         }
     }
-    for hd in 0..heads {
-        let l = lr[hd];
-        for i in 0..D {
-            out_row[hd * D + i] = acc[hd * D + i] / l;
-        }
+    for (i, (o, &a)) in out_row[..W].iter_mut().zip(&acc).enumerate() {
+        *o = a / lr[i / D];
     }
 }
 
@@ -1298,6 +1283,116 @@ mod tests {
         m.logits_batch(&[0, 1, 2], &mut scratch);
         for (i, expect) in ref_logits.iter().enumerate() {
             assert_eq!(scratch.logits_row(i), &expect[..], "sequence {i}");
+        }
+    }
+
+    /// `TinyConfig::small()` at `threads` lanes: `d == 8` with 8 heads, so
+    /// block-16 caches take the served `fused_attn_row_w::<64, 8, 8>` kernel.
+    fn small_model(threads: usize) -> Model {
+        Model::random_with(
+            &TinyConfig::small(),
+            42,
+            ComputeConfig {
+                precision: Precision::F32,
+                threads,
+            },
+        )
+    }
+
+    /// Reference logits of `prompt` fed token at a time into a fresh
+    /// block-16 cache, one vector per position.
+    fn reference_logits(m: &Model, prompt: &[u32]) -> Vec<Vec<f32>> {
+        let mut kv = m.make_kv(prompt.len() + 16, 16);
+        kv.register(0);
+        prompt
+            .iter()
+            .enumerate()
+            .map(|(pos, &t)| m.forward_token(0, pos, t, &mut kv))
+            .collect()
+    }
+
+    fn prompt_of(len: usize, salt: u32) -> Vec<u32> {
+        (0..len as u32)
+            .map(|i| (i * 37 + salt * 11 + 5) % 512)
+            .collect()
+    }
+
+    #[test]
+    fn block16_prefill_bit_matches_reference() {
+        // 45 positions: two full 16-blocks and a partial third. The
+        // picked rows sweep one, two and three blocks, ending mid-block
+        // or exactly on a block boundary.
+        let prompt = prompt_of(45, 1);
+        for threads in [1, 2] {
+            let m = small_model(threads);
+            let expect = reference_logits(&m, &prompt);
+            let mut kv = m.make_kv(64, 16);
+            kv.register(0);
+            let rows: Vec<BatchRow> = prompt
+                .iter()
+                .enumerate()
+                .map(|(pos, &token)| BatchRow { seq: 0, pos, token })
+                .collect();
+            let mut scratch = Scratch::new();
+            m.forward_batch(&rows, &mut kv, &mut scratch);
+            let picks = [0, 14, 15, 16, 31, 32, 44];
+            m.logits_batch(&picks, &mut scratch);
+            for (i, &pos) in picks.iter().enumerate() {
+                assert_eq!(
+                    scratch.logits_row(i),
+                    &expect[pos][..],
+                    "{threads} lanes, position {pos}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block16_fused_decode_bit_matches_reference() {
+        // Prompts of 37, 32 and 50 tokens: the decode rows end mid-block,
+        // open a fresh block, and end mid-block after three full ones.
+        let prompts: Vec<Vec<u32>> = [37, 32, 50]
+            .iter()
+            .zip(1..)
+            .map(|(&len, salt)| prompt_of(len, salt))
+            .collect();
+        for threads in [1, 2] {
+            let m = small_model(threads);
+            let mut expect = Vec::new();
+            let mut decode_rows = Vec::new();
+            let mut kv = m.make_kv(256, 16);
+            let mut scratch = Scratch::new();
+            for (s, prompt) in prompts.iter().enumerate() {
+                let mut full = prompt.clone();
+                let last = reference_logits(&m, prompt).pop().expect("non-empty");
+                full.push(crate::tensor::argmax(&last) as u32);
+                expect.push(reference_logits(&m, &full).pop().expect("non-empty"));
+
+                let seq = s as SeqId;
+                kv.register(seq);
+                let rows: Vec<BatchRow> = prompt
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, &token)| BatchRow { seq, pos, token })
+                    .collect();
+                m.forward_batch(&rows, &mut kv, &mut scratch);
+                m.logits_batch(&[prompt.len() - 1], &mut scratch);
+                assert_eq!(scratch.logits_row(0), &last[..], "prefill {s}");
+                decode_rows.push(BatchRow {
+                    seq,
+                    pos: prompt.len(),
+                    token: full[prompt.len()],
+                });
+            }
+            m.forward_batch(&decode_rows, &mut kv, &mut scratch);
+            m.logits_batch(&[0, 1, 2], &mut scratch);
+            for (i, want) in expect.iter().enumerate() {
+                assert_eq!(
+                    scratch.logits_row(i),
+                    &want[..],
+                    "{threads} lanes, sequence {i}"
+                );
+            }
         }
     }
 

@@ -684,8 +684,24 @@ pub(crate) fn exp_fast(x: f32) -> f32 {
             + f * (0.240_226_5
                 + f * (0.055_504_11
                     + f * (0.009_618_13 + f * (0.001_333_36 + f * 0.000_154_035)))));
-    let scale = f32::from_bits(((zf as i32 + 127) as u32) << 23);
-    scale * p
+    pow2_int(zf) * p
+}
+
+/// `2^23`: the float whose unit in the last place is 1, so adding it to a
+/// small non-negative integer-valued float stores that integer verbatim
+/// in the mantissa bits.
+const EXP_BIAS_SHIFT: f32 = 8_388_608.0;
+
+/// `2^zf` for an integer-valued `zf` in `[-126, 0]`, assembled in the
+/// IEEE-754 exponent field. Adding 2^23 lands the biased exponent
+/// `zf + 127` (an integer in `[1, 127]`) exactly in the low mantissa
+/// bits, so subtracting the bits of 2^23 recovers it with no float→int
+/// conversion: a saturating `zf as i32` cast lowers to one scalar
+/// `cvttss2si` per lane and keeps every caller's loop from vectorizing.
+#[inline]
+fn pow2_int(zf: f32) -> f32 {
+    let biased = (zf + 127.0 + EXP_BIAS_SHIFT).to_bits() - EXP_BIAS_SHIFT.to_bits();
+    f32::from_bits(biased << 23)
 }
 
 /// Numerically stable softmax in place over a slice.
@@ -989,6 +1005,58 @@ mod tests {
         // Clamped underflow floors at 2^-126 — vanishing after the
         // softmax normalization divide.
         assert!(exp_fast(-1000.0) <= f32::MIN_POSITIVE);
+    }
+
+    #[test]
+    fn exponent_assembly_matches_int_cast() {
+        // `pow2_int` must build the same bits as the conversion it
+        // replaced, `((zf as i32 + 127) as u32) << 23`, for every `zf`
+        // that `exp_fast` can produce from an input in (-inf, 0].
+        let check = |x: f32| {
+            let zf = (x * std::f32::consts::LOG2_E).max(-126.0).floor();
+            let cast = f32::from_bits(((zf as i32 + 127) as u32) << 23);
+            assert_eq!(
+                pow2_int(zf).to_bits(),
+                cast.to_bits(),
+                "x = {x:e} ({:#010x}), zf = {zf}",
+                x.to_bits()
+            );
+        };
+        // A stride through every f32 bit pattern from -0.0 to -inf.
+        let (neg_zero, neg_inf) = ((-0.0f32).to_bits(), f32::NEG_INFINITY.to_bits());
+        for bits in (neg_zero..=neg_inf).step_by(4099) {
+            check(f32::from_bits(bits));
+        }
+        let ln2 = std::f32::consts::LN_2;
+        let mut specials = vec![
+            0.0,
+            -0.0,
+            f32::NEG_INFINITY,
+            f32::MIN,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(neg_zero | 1),
+            f32::from_bits(neg_zero | 0x007f_ffff),
+        ];
+        // Inputs around the -126 clamp and around two exponent steps.
+        for k in [-128.0f32, -127.0, -126.0, -125.0, -1.0] {
+            let x = k * ln2;
+            let mut lo = x;
+            let mut hi = x;
+            for _ in 0..8 {
+                lo = f32::from_bits(lo.to_bits() + 1);
+                hi = f32::from_bits(hi.to_bits() - 1);
+                specials.extend([lo, hi]);
+            }
+            specials.push(x);
+        }
+        for x in specials {
+            check(x);
+        }
+        // And every integer exponent the clamp admits, directly.
+        for zf in -126..=0 {
+            let zf = zf as f32;
+            assert_eq!(pow2_int(zf), 2f32.powi(zf as i32), "2^{zf}");
+        }
     }
 
     #[test]
