@@ -15,8 +15,8 @@
 
 use distserve_bench::{header, paper_cost};
 use distserve_cluster::Cluster;
-use distserve_core::{serve_trace, Table};
-use distserve_engine::{ColocatedPolicy, FidelityConfig, InstanceRole, InstanceSpec};
+use distserve_core::Table;
+use distserve_engine::{ColocatedPolicy, InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve_models::{OptModel, ParallelismConfig};
 use distserve_placement::TraceSource;
 use distserve_workload::Dataset;
@@ -79,16 +79,10 @@ fn main() {
         let gpus: u32 = specs.iter().map(InstanceSpec::num_gpus).sum();
         let rate = rate_per_gpu * f64::from(gpus);
         let trace = Dataset::ShareGpt.make_trace(rate, ((rate * 60.0) as usize).max(400), 17);
-        let out = serve_trace(
-            &cost,
-            &cluster,
-            &arch,
-            specs,
-            &trace,
-            FidelityConfig::ideal(),
-            17,
-        )
-        .expect("valid deployment");
+        let cfg = SimConfig::new(arch.clone()).with_seed(17);
+        let out = ServingSim::new(cfg, &cost, &cluster, specs)
+            .expect("valid deployment")
+            .run(&trace);
         table.row(vec![
             name.to_string(),
             gpus.to_string(),

@@ -16,8 +16,8 @@
 
 use distserve_bench::{header, paper_cost};
 use distserve_cluster::Cluster;
-use distserve_core::{serve_trace, Table};
-use distserve_engine::{FidelityConfig, InstanceRole, InstanceSpec, ServingSim, SimConfig};
+use distserve_core::Table;
+use distserve_engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve_models::{OptModel, ParallelismConfig};
 use distserve_simcore::SimRng;
 use distserve_workload::datasets::LengthSampler;
@@ -189,16 +189,10 @@ fn main() {
     ]);
     for (name, bursty) in [("Poisson", false), ("gamma CV=3", true)] {
         let trace = build(bursty);
-        let out = serve_trace(
-            &cost,
-            &cluster,
-            &arch,
-            disagg_specs(&cluster),
-            &trace,
-            FidelityConfig::ideal(),
-            99,
-        )
-        .expect("valid");
+        let cfg = SimConfig::new(arch.clone()).with_seed(99);
+        let out = ServingSim::new(cfg, &cost, &cluster, disagg_specs(&cluster))
+            .expect("valid")
+            .run(&trace);
         table.row(vec![
             name.to_string(),
             format!("{:.2}", out.attainment(0.25, 0.1)),

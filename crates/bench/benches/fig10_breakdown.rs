@@ -12,8 +12,8 @@
 
 use distserve_bench::{header, paper_cost};
 use distserve_cluster::Cluster;
-use distserve_core::{serve_trace, Application, Planner, Table};
-use distserve_engine::FidelityConfig;
+use distserve_core::{Application, Planner, Table};
+use distserve_engine::{ServingSim, SimConfig};
 use distserve_placement::alg1::SearchParams;
 use distserve_placement::deploy::Deployment;
 use distserve_placement::TraceSource;
@@ -55,16 +55,9 @@ fn main() {
     // Serve at ~70% of the planned rate so queues are realistic but
     // stable.
     let trace = app.dataset().make_trace(0.4 * 0.7, 400, 10);
-    let outcome = serve_trace(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        10,
-    )
-    .expect("valid deployment");
+    let outcome = ServingSim::new(SimConfig::new(arch).with_seed(10), &cost, &cluster, specs)
+        .expect("valid deployment")
+        .run(&trace);
 
     // (a) Aggregate stage shares.
     let b = outcome.breakdown_totals();

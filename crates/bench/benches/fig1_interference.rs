@@ -12,8 +12,8 @@
 
 use distserve_bench::{header, paper_cost};
 use distserve_cluster::Cluster;
-use distserve_core::{serve_trace, Table};
-use distserve_engine::{FidelityConfig, InstanceRole, InstanceSpec};
+use distserve_core::Table;
+use distserve_engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve_models::{GpuSpec, OptModel, ParallelismConfig};
 use distserve_placement::goodput::max_goodput;
 use distserve_placement::phase_sim::{decode_tpots, prefill_ttfts, PhaseSimConfig};
@@ -40,16 +40,14 @@ fn coloc_outcome(cluster: &Cluster, rate: f64, n: usize) -> distserve_engine::Si
     )
     .expect("valid");
     let trace = source().make_trace(rate, n, 1);
-    serve_trace(
+    ServingSim::new(
+        SimConfig::new(arch).with_seed(1),
         &cost,
         cluster,
-        &arch,
         vec![spec],
-        &trace,
-        FidelityConfig::ideal(),
-        1,
     )
     .expect("valid deployment")
+    .run(&trace)
 }
 
 fn main() {
@@ -148,17 +146,10 @@ fn main() {
         |r| {
             let n = ((r * 60.0) as usize).clamp(200, 4000);
             let trace = source().make_trace(r, n, 1);
-            serve_trace(
-                &cost,
-                &cluster,
-                &arch,
-                specs.clone(),
-                &trace,
-                FidelityConfig::ideal(),
-                1,
-            )
-            .map(|o| o.attainment(TTFT_SLO, TPOT_SLO))
-            .unwrap_or(0.0)
+            let cfg = SimConfig::new(arch.clone()).with_seed(1);
+            ServingSim::new(cfg, &cost, &cluster, specs.clone())
+                .map(|sim| sim.run(&trace).attainment(TTFT_SLO, TPOT_SLO))
+                .unwrap_or(0.0)
         },
         0.9,
         0.5,

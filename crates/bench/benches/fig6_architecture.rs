@@ -9,8 +9,8 @@
 
 use distserve_bench::{header, paper_cost};
 use distserve_cluster::Cluster;
-use distserve_core::{serve_trace, Table};
-use distserve_engine::{FidelityConfig, InstanceRole, InstanceSpec};
+use distserve_core::Table;
+use distserve_engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve_models::{OptModel, ParallelismConfig};
 use distserve_placement::TraceSource;
 use distserve_workload::datasets::FixedLengths;
@@ -38,16 +38,9 @@ fn main() {
         output_len: 8,
     }
     .make_trace(20.0, 8, 2);
-    let outcome = serve_trace(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        2,
-    )
-    .expect("valid deployment");
+    let outcome = ServingSim::new(SimConfig::new(arch).with_seed(2), &cost, &cluster, specs)
+        .expect("valid deployment")
+        .run(&trace);
 
     let mut table = Table::new(vec![
         "request",

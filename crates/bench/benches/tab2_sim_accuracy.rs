@@ -10,8 +10,8 @@
 
 use distserve_bench::{header, paper_cost};
 use distserve_cluster::Cluster;
-use distserve_core::{serve_trace, Application, Table};
-use distserve_engine::{FidelityConfig, InstanceRole, InstanceSpec};
+use distserve_core::{Application, Table};
+use distserve_engine::{FidelityConfig, InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve_models::ParallelismConfig;
 use distserve_placement::alg2::unit_specs;
 use distserve_placement::TraceSource;
@@ -44,8 +44,13 @@ fn main() {
     let attain = |specs: Vec<InstanceSpec>, rate: f64, fid: FidelityConfig| {
         let n = ((rate * 90.0) as usize).max(300);
         let trace = app.dataset().make_trace(rate, n, 42);
-        serve_trace(&cost, &cluster, &arch, specs, &trace, fid, 42)
+        let cfg = SimConfig {
+            fidelity: fid,
+            ..SimConfig::new(arch.clone()).with_seed(42)
+        };
+        ServingSim::new(cfg, &cost, &cluster, specs)
             .expect("valid deployment")
+            .run(&trace)
             .attainment(slo.ttft, slo.tpot)
     };
 

@@ -10,8 +10,7 @@
 pub mod sentinel;
 
 use distserve_cluster::Cluster;
-use distserve_core::serve_trace;
-use distserve_engine::{FidelityConfig, InstanceSpec};
+use distserve_engine::{InstanceSpec, ServingSim, SimConfig};
 use distserve_models::{ModelArch, RooflineModel};
 use distserve_placement::goodput::{max_goodput, probe_count_with};
 use distserve_placement::{SloSpec, TraceSource};
@@ -52,17 +51,10 @@ pub fn per_gpu_goodput(
         |rate| {
             let n = probe_count_with(rate, 200, probe_secs);
             let trace = source.make_trace(rate, n, seed);
-            serve_trace(
-                cost,
-                cluster,
-                arch,
-                specs.to_vec(),
-                &trace,
-                FidelityConfig::ideal(),
-                seed,
-            )
-            .map(|o| o.attainment(slo.ttft, slo.tpot))
-            .unwrap_or(0.0)
+            let cfg = SimConfig::new(arch.clone()).with_seed(seed);
+            ServingSim::new(cfg, cost, cluster, specs.to_vec())
+                .map(|sim| sim.run(&trace).attainment(slo.ttft, slo.tpot))
+                .unwrap_or(0.0)
         },
         slo.target,
         0.5,
@@ -90,17 +82,11 @@ pub fn min_slo_scale(
     let total_rate = per_gpu_rate * f64::from(gpus);
     let n = probe_count_with(total_rate, 200, 45.0);
     let trace = source.make_trace(total_rate, n, seed);
-    let Ok(outcome) = serve_trace(
-        cost,
-        cluster,
-        arch,
-        specs.to_vec(),
-        &trace,
-        FidelityConfig::ideal(),
-        seed,
-    ) else {
+    let cfg = SimConfig::new(arch.clone()).with_seed(seed);
+    let Ok(sim) = ServingSim::new(cfg, cost, cluster, specs.to_vec()) else {
         return f64::INFINITY;
     };
+    let outcome = sim.run(&trace);
     // Attainment is monotone in scale; probe on inverse scale so the
     // "max passing value" search applies.
     let inv = max_goodput(

@@ -26,7 +26,4 @@ pub mod serving;
 pub use apps::Application;
 pub use replan::{CapacityObservation, ReplanController, SloObservation};
 pub use report::Table;
-pub use serving::{
-    rate_sweep, serve_trace, serve_trace_replayed, serve_trace_routed, serve_trace_with_faults,
-    serve_trace_with_sink, slo_scale_sweep, Planner, SweepPoint,
-};
+pub use serving::{rate_sweep, slo_scale_sweep, Planner, SweepPoint};

@@ -7,8 +7,7 @@
 //! TPOT-only curves the paper plots as dotted/dashed lines.
 
 use distserve_cluster::Cluster;
-use distserve_engine::{FidelityConfig, InstanceSpec, ServingSim, SimConfig, SimOutcome};
-use distserve_faults::{FaultSchedule, RetryPolicy};
+use distserve_engine::{InstanceSpec, ServingSim, SimConfig};
 use distserve_models::{CostModel, DType, ModelArch, ParallelismConfig};
 use distserve_placement::alg1::SearchParams;
 use distserve_placement::deploy::Deployment;
@@ -18,8 +17,6 @@ use distserve_placement::{
     high_affinity_placement, low_affinity_placement, materialize, vllm_plus_plus, SloSpec,
     TraceSource,
 };
-use distserve_router::{DecisionRecord, RouterPolicy};
-use distserve_telemetry::TelemetrySink;
 
 /// Plans placements for one model on one cluster.
 pub struct Planner<'a> {
@@ -182,139 +179,6 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Serves one trace through a deployment and returns the outcome.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures (invalid deployments).
-pub fn serve_trace(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    specs: Vec<InstanceSpec>,
-    trace: &distserve_workload::Trace,
-    fidelity: FidelityConfig,
-    seed: u64,
-) -> Result<SimOutcome, String> {
-    serve_trace_with_sink(
-        cost,
-        cluster,
-        arch,
-        specs,
-        trace,
-        fidelity,
-        seed,
-        &distserve_telemetry::NOOP,
-    )
-}
-
-/// [`serve_trace`] with request-lifecycle telemetry routed into `sink`
-/// (e.g. a `distserve_telemetry::Recorder` feeding the Perfetto and
-/// Prometheus exporters). Timestamps are sim-clock seconds.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures (invalid deployments).
-#[allow(clippy::too_many_arguments)]
-pub fn serve_trace_with_sink(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    specs: Vec<InstanceSpec>,
-    trace: &distserve_workload::Trace,
-    fidelity: FidelityConfig,
-    seed: u64,
-    sink: &dyn TelemetrySink,
-) -> Result<SimOutcome, String> {
-    let mut cfg = SimConfig::new(arch.clone()).with_seed(seed);
-    cfg.fidelity = fidelity;
-    let sim = ServingSim::new(cfg, cost, cluster, specs)?;
-    Ok(sim.with_sink(sink).run(trace))
-}
-
-/// [`serve_trace_with_sink`] under an injected [`FaultSchedule`]: the
-/// engine executes the schedule during the run, recovering per
-/// `policy`, and every lifecycle (including `Failed` terminals and
-/// `Retried` re-dispatches) flows into `sink`. An empty schedule
-/// reproduces [`serve_trace_with_sink`] bit for bit.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures (invalid deployments).
-#[allow(clippy::too_many_arguments)]
-pub fn serve_trace_with_faults(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    specs: Vec<InstanceSpec>,
-    trace: &distserve_workload::Trace,
-    fidelity: FidelityConfig,
-    seed: u64,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    sink: &dyn TelemetrySink,
-) -> Result<SimOutcome, String> {
-    let mut cfg = SimConfig::new(arch.clone()).with_seed(seed);
-    cfg.fidelity = fidelity;
-    let sim = ServingSim::new(cfg, cost, cluster, specs)?;
-    Ok(sim.with_faults(schedule, policy).with_sink(sink).run(trace))
-}
-
-/// [`serve_trace_with_sink`] in **routed** mode: the cluster router
-/// (`distserve_router::route`) decides every arrival's execution path
-/// under `policy`, mixed split/colocated fleets are allowed, and the
-/// returned decision log replays the run exactly via
-/// [`serve_trace_replayed`]. Telemetry and attribution flow through the
-/// identical sink plumbing as direct runs.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures (invalid deployments or
-/// routed topologies).
-#[allow(clippy::too_many_arguments)]
-pub fn serve_trace_routed(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    specs: Vec<InstanceSpec>,
-    trace: &distserve_workload::Trace,
-    fidelity: FidelityConfig,
-    seed: u64,
-    policy: RouterPolicy,
-    sink: &dyn TelemetrySink,
-) -> Result<(SimOutcome, Vec<DecisionRecord>), String> {
-    let mut cfg = SimConfig::new(arch.clone()).with_seed(seed);
-    cfg.fidelity = fidelity;
-    let sim = ServingSim::new_routed(cfg, cost, cluster, specs, policy)?;
-    Ok(sim.with_sink(sink).run_logged(trace))
-}
-
-/// Replays a routed run from its decision log: with the same
-/// configuration, trace, and seed as the [`serve_trace_routed`] call
-/// that produced `log`, the outcome is byte-identical. The replay
-/// harness in `tests/` gates on this.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures and malformed log records.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_trace_replayed(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    specs: Vec<InstanceSpec>,
-    trace: &distserve_workload::Trace,
-    fidelity: FidelityConfig,
-    seed: u64,
-    log: &[DecisionRecord],
-    sink: &dyn TelemetrySink,
-) -> Result<(SimOutcome, Vec<DecisionRecord>), String> {
-    let mut cfg = SimConfig::new(arch.clone()).with_seed(seed);
-    cfg.fidelity = fidelity;
-    let sim = ServingSim::new_replayed(cfg, cost, cluster, specs, log)?;
-    Ok(sim.with_sink(sink).run_logged(trace))
-}
-
 /// One point of a rate or SLO-scale sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
@@ -353,15 +217,8 @@ pub fn rate_sweep(
         let total_rate = r * f64::from(gpus);
         let n = probe_count(total_rate, probe_requests);
         let trace = source.make_trace(total_rate, n, seed);
-        let outcome = serve_trace(
-            cost,
-            cluster,
-            arch,
-            specs.to_vec(),
-            &trace,
-            FidelityConfig::ideal(),
-            seed,
-        )?;
+        let cfg = SimConfig::new(arch.clone()).with_seed(seed);
+        let outcome = ServingSim::new(cfg, cost, cluster, specs.to_vec())?.run(&trace);
         out.push(SweepPoint {
             x: r,
             attainment: outcome.attainment(slo.ttft, slo.tpot),
@@ -394,15 +251,8 @@ pub fn slo_scale_sweep(
     let gpus: u32 = specs.iter().map(InstanceSpec::num_gpus).sum();
     let total_rate = per_gpu_rate * f64::from(gpus);
     let trace = source.make_trace(total_rate, probe_count(total_rate, probe_requests), seed);
-    let outcome = serve_trace(
-        cost,
-        cluster,
-        arch,
-        specs.to_vec(),
-        &trace,
-        FidelityConfig::ideal(),
-        seed,
-    )?;
+    let cfg = SimConfig::new(arch.clone()).with_seed(seed);
+    let outcome = ServingSim::new(cfg, cost, cluster, specs.to_vec())?.run(&trace);
     Ok(scales
         .iter()
         .map(|&s| {
@@ -472,16 +322,10 @@ mod tests {
         let deployment = planner.plan_distserve(&source(), slo, 6.0).unwrap();
         let specs = planner.materialize(&deployment).unwrap();
         let trace = source().make_trace(6.0, 100, 1);
-        let outcome = serve_trace(
-            &cost,
-            &cluster,
-            &arch,
-            specs,
-            &trace,
-            FidelityConfig::ideal(),
-            1,
-        )
-        .unwrap();
+        let cfg = SimConfig::new(arch).with_seed(1);
+        let outcome = ServingSim::new(cfg, &cost, &cluster, specs)
+            .unwrap()
+            .run(&trace);
         assert_eq!(outcome.records.len(), 100);
         // The plan was sized for 6 rps: attainment should be high.
         let att = outcome.attainment(slo.ttft, slo.tpot);
@@ -546,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_trace_with_sink_records_lifecycles() {
+    fn serving_with_sink_records_lifecycles() {
         let cost = RooflineModel::a100();
         let cluster = Cluster::single_node(2);
         let arch = OptModel::Opt13B.arch();
@@ -555,17 +399,11 @@ mod tests {
         let specs = planner.materialize(&vllm).unwrap();
         let trace = source().make_trace(2.0, 40, 3);
         let rec = distserve_telemetry::Recorder::new();
-        let outcome = serve_trace_with_sink(
-            &cost,
-            &cluster,
-            &arch,
-            specs,
-            &trace,
-            FidelityConfig::ideal(),
-            3,
-            &rec,
-        )
-        .unwrap();
+        let cfg = SimConfig::new(arch).with_seed(3);
+        let outcome = ServingSim::new(cfg, &cost, &cluster, specs)
+            .unwrap()
+            .with_sink(&rec)
+            .run(&trace);
         assert_eq!(outcome.records.len(), 40);
         let snap = rec.snapshot();
         assert_eq!(snap.lifecycles().len(), 40);
@@ -579,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn routed_serving_records_same_telemetry_shape_and_replays() {
+    fn routed_sim_records_same_telemetry_shape_and_replays() {
         let cost = RooflineModel::a100();
         let cluster = Cluster::single_node(4);
         let arch = OptModel::Opt13B.arch();
@@ -588,18 +426,14 @@ mod tests {
         let specs = planner.materialize(&vllm).unwrap();
         let trace = source().make_trace(3.0, 60, 5);
         let rec = distserve_telemetry::Recorder::new();
-        let (outcome, log) = serve_trace_routed(
-            &cost,
-            &cluster,
-            &arch,
-            specs.clone(),
-            &trace,
-            FidelityConfig::ideal(),
-            5,
-            distserve_router::RouterPolicy::default(),
-            &rec,
-        )
-        .unwrap();
+        let cfg = SimConfig::new(arch).with_seed(5);
+        let policy = distserve_router::RouterPolicy::default();
+        let (outcome, log) =
+            ServingSim::new_routed(cfg.clone(), &cost, &cluster, specs.clone(), policy)
+                .unwrap()
+                .with_sink(&rec)
+                .run_logged(&trace)
+                .unwrap();
         assert_eq!(outcome.records.len() + outcome.rejected.len(), 60);
         // Routed runs feed the same lifecycle stream as direct runs.
         let snap = rec.snapshot();
@@ -608,18 +442,10 @@ mod tests {
             lc.validate().unwrap();
         }
         // And the log replays to the identical outcome.
-        let (replayed, _) = serve_trace_replayed(
-            &cost,
-            &cluster,
-            &arch,
-            specs,
-            &trace,
-            FidelityConfig::ideal(),
-            5,
-            &log,
-            &distserve_telemetry::NOOP,
-        )
-        .unwrap();
+        let (replayed, _) = ServingSim::new_replayed(cfg, &cost, &cluster, specs, &log)
+            .unwrap()
+            .run_logged(&trace)
+            .unwrap();
         assert_eq!(outcome.records, replayed.records);
         assert_eq!(outcome.rejected, replayed.rejected);
     }

@@ -13,9 +13,12 @@
 use std::collections::VecDeque;
 
 use distserve_router::{
-    route, Decision, DecisionRecord, ReplicaSnapshot, RequestFeatures, RouterPolicy, RouterState,
+    route, Decision, DecisionRecord, ReplicaId, ReplicaSnapshot, RequestFeatures, RouterPolicy,
+    RouterState,
 };
 use distserve_simcore::FastHashMap;
+
+use crate::spec::InstanceRole;
 
 /// Where routing verdicts come from.
 enum RouterMode {
@@ -32,6 +35,9 @@ pub(crate) struct RouterCtl {
     /// Every verdict issued this run, in decision order. A request that
     /// queues appears once per consultation.
     pub(crate) log: Vec<DecisionRecord>,
+    /// Replay mode: the first request the log held no further decision
+    /// for. The run stops there with an error.
+    pub(crate) exhausted: Option<u64>,
 }
 
 impl RouterCtl {
@@ -41,32 +47,45 @@ impl RouterCtl {
         RouterCtl {
             mode: RouterMode::Live(Box::new(RouterState::new(initial, policy, seed))),
             log: Vec::new(),
+            exhausted: None,
         }
     }
 
-    /// Replay mode over a recorded decision log.
-    pub(crate) fn replay(records: &[DecisionRecord]) -> Result<Self, String> {
+    /// Replay mode over a recorded decision log, checked against the
+    /// fleet (`roles[i]` is instance `i`'s role).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the request of the first record whose
+    /// replica is out of range or plays the wrong role for its decision
+    /// kind, or whose queue delay is not a finite non-negative number.
+    pub(crate) fn replay(
+        records: &[DecisionRecord],
+        roles: &[InstanceRole],
+    ) -> Result<Self, String> {
         let mut per_request: FastHashMap<u64, VecDeque<(Decision, u64)>> = FastHashMap::default();
         for rec in records {
+            let decision = rec.decision()?;
+            check_replayable(&decision, roles)
+                .map_err(|e| format!("record for request {}: {e}", rec.request))?;
             per_request
                 .entry(rec.request)
                 .or_default()
-                .push_back((rec.decision()?, rec.trace_id));
+                .push_back((decision, rec.trace_id));
         }
         Ok(RouterCtl {
             mode: RouterMode::Replay(per_request),
             log: Vec::new(),
+            exhausted: None,
         })
     }
 
     /// Issues the verdict for `req` given the current fleet `snapshots`
-    /// (ignored in replay mode) and appends it to the log.
-    ///
-    /// # Panics
-    ///
-    /// Panics in replay mode when the log holds no further decision for
-    /// this request — the log does not match the run being replayed.
-    pub(crate) fn consult<I>(&mut self, snapshots: I, req: &RequestFeatures) -> Decision
+    /// (ignored in replay mode) and appends it to the log. Returns `None`
+    /// in replay mode when the log holds no further decision for this
+    /// request (the log does not match the run) and records the request
+    /// in [`RouterCtl::exhausted`].
+    pub(crate) fn consult<I>(&mut self, snapshots: I, req: &RequestFeatures) -> Option<Decision>
     where
         I: IntoIterator<Item = ReplicaSnapshot>,
     {
@@ -76,21 +95,48 @@ impl RouterCtl {
                 let tid = distserve_telemetry::trace_id(state.seed(), req.id);
                 (route(state, req), tid)
             }
-            RouterMode::Replay(per_request) => per_request
-                .get_mut(&req.id)
-                .and_then(VecDeque::pop_front)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "replay log exhausted for request {}: log/run mismatch",
-                        req.id
-                    )
-                }),
+            RouterMode::Replay(per_request) => {
+                let Some(next) = per_request.get_mut(&req.id).and_then(VecDeque::pop_front) else {
+                    self.exhausted = Some(req.id);
+                    return None;
+                };
+                next
+            }
         };
         self.log.push(
             DecisionRecord::new(req.id, &decision)
                 .with_trace_id(trace_id)
                 .with_prefix(req.prefix_group, req.matched_tokens),
         );
-        decision
+        Some(decision)
+    }
+}
+
+/// Whether `decision` can run on a fleet whose instance `i` plays
+/// `roles[i]`: the engine indexes instances by the logged replica ids.
+fn check_replayable(decision: &Decision, roles: &[InstanceRole]) -> Result<(), String> {
+    let expect = |replica: ReplicaId, role: InstanceRole| match roles.get(replica.0 as usize) {
+        Some(&r) if r == role => Ok(()),
+        Some(r) => Err(format!("replica {} is {r:?}, not {role:?}", replica.0)),
+        None => Err(format!(
+            "replica {} does not exist in a fleet of {}",
+            replica.0,
+            roles.len()
+        )),
+    };
+    match *decision {
+        Decision::Disagg { prefill, decode } => {
+            expect(prefill, InstanceRole::Prefill)?;
+            expect(decode, InstanceRole::Decode)
+        }
+        Decision::Coloc { replica } => expect(replica, InstanceRole::Colocated),
+        Decision::Queue { retry_after_secs }
+            if !(retry_after_secs >= 0.0 && retry_after_secs.is_finite()) =>
+        {
+            Err(format!(
+                "queue delay {retry_after_secs} s is not finite and non-negative"
+            ))
+        }
+        Decision::Queue { .. } | Decision::Shed { .. } => Ok(()),
     }
 }

@@ -363,8 +363,12 @@ impl<'a> ServingSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed log records or any
-    /// [`ServingSim::new_routed`] validation failure.
+    /// Returns a message naming the request of the first malformed log
+    /// record: a replica id outside the fleet, a replica whose role does
+    /// not match the decision kind (a `Disagg` prefill that is not a
+    /// prefill instance, say), or a queue delay that is negative or not
+    /// finite. Also returns any [`ServingSim::new_routed`] validation
+    /// failure.
     pub fn new_replayed(
         cfg: SimConfig,
         cost: &'a dyn CostModel,
@@ -374,7 +378,8 @@ impl<'a> ServingSim<'a> {
     ) -> Result<Self, String> {
         let mut sim = Self::build(cfg, cost, cluster, specs)?;
         sim.validate_routed_topology()?;
-        sim.router = Some(RouterCtl::replay(log)?);
+        let roles: Vec<InstanceRole> = sim.instances.iter().map(|inst| inst.spec.role).collect();
+        sim.router = Some(RouterCtl::replay(log, &roles)?);
         Ok(sim)
     }
 
@@ -574,10 +579,15 @@ impl<'a> ServingSim<'a> {
     /// # Panics
     ///
     /// Panics if the event budget (100 million) is exceeded, which
-    /// indicates a scheduling livelock rather than a slow workload.
+    /// indicates a scheduling livelock rather than a slow workload, and
+    /// when a simulator built with [`ServingSim::new_replayed`] runs out
+    /// of logged decisions; [`ServingSim::run_logged`] returns that as an
+    /// error instead.
     #[must_use]
     pub fn run(mut self, trace: &Trace) -> SimOutcome {
-        self.run_core(trace);
+        if let Err(e) = self.run_core(trace) {
+            panic!("{e}");
+        }
         self.finish()
     }
 
@@ -587,21 +597,29 @@ impl<'a> ServingSim<'a> {
     /// [`ServingSim::new_replayed`] with an otherwise identical
     /// configuration reproduces this run exactly.
     ///
+    /// # Errors
+    ///
+    /// Returns a message naming the request when a simulator built with
+    /// [`ServingSim::new_replayed`] needs a decision its log does not
+    /// hold, e.g. because the log was truncated.
+    ///
     /// # Panics
     ///
     /// Panics if the event budget is exceeded (see [`ServingSim::run`]).
-    #[must_use]
-    pub fn run_logged(mut self, trace: &Trace) -> (SimOutcome, Vec<DecisionRecord>) {
-        self.run_core(trace);
+    pub fn run_logged(
+        mut self,
+        trace: &Trace,
+    ) -> Result<(SimOutcome, Vec<DecisionRecord>), String> {
+        self.run_core(trace)?;
         let log = self
             .router
             .as_mut()
             .map(|r| std::mem::take(&mut r.log))
             .unwrap_or_default();
-        (self.finish(), log)
+        Ok((self.finish(), log))
     }
 
-    fn run_core(&mut self, trace: &Trace) {
+    fn run_core(&mut self, trace: &Trace) -> Result<(), String> {
         let _prof = distserve_prof::scope("sim_run");
         if self.sink.enabled() {
             for (i, inst) in self.instances.iter().enumerate() {
@@ -705,7 +723,14 @@ impl<'a> ServingSim<'a> {
             if chaos {
                 self.check_drains(now);
             }
+            if let Some(id) = self.router.as_ref().and_then(|r| r.exhausted) {
+                return Err(format!(
+                    "replay log holds no further decision for request {id}: \
+                     the log does not match this run"
+                ));
+            }
         }
+        Ok(())
     }
 
     fn finish(self) -> SimOutcome {
@@ -875,8 +900,9 @@ impl<'a> ServingSim<'a> {
 
     /// One router consultation: refresh the persistent state from the
     /// fleet (in place, no per-request allocation) and take — or replay
-    /// — the verdict.
-    fn consult_router(&mut self, features: &RequestFeatures) -> Decision {
+    /// — the verdict. `None` when a replayed log has run out; the run
+    /// loop then stops with an error.
+    fn consult_router(&mut self, features: &RequestFeatures) -> Option<Decision> {
         let instances = &self.instances;
         let router = self.router.as_mut().expect("routed mode");
         router.consult(
@@ -903,7 +929,9 @@ impl<'a> ServingSim<'a> {
             ..RequestFeatures::arrival(req.id.0, req.input_len, req.output_len)
         }
         .with_prefix(0, cached, self.cfg.prefix.hit_prob);
-        let decision = self.consult_router(&features);
+        let Some(decision) = self.consult_router(&features) else {
+            return;
+        };
         match decision {
             // The decode field is a hint: the engine re-binds the decode
             // target at prefill completion (§4.3), when loads are fresher.
@@ -1799,7 +1827,10 @@ impl<'a> ServingSim<'a> {
             }
             .with_tenant(st.request.tenant)
             .with_prefix(0, st.cached_tokens, self.cfg.prefix.hit_prob);
-            match self.consult_router(&features) {
+            let Some(decision) = self.consult_router(&features) else {
+                return;
+            };
+            match decision {
                 Decision::Disagg { prefill, .. } => {
                     self.admit_routed(id, input_len, prefill.0 as usize, now);
                 }
@@ -3047,7 +3078,7 @@ mod tests {
             RouterPolicy::default(),
         )
         .unwrap();
-        let (out, log) = sim.run_logged(&trace);
+        let (out, log) = sim.run_logged(&trace).unwrap();
         assert_eq!(out.records.len() + out.rejected.len(), 120);
         assert!(out.rejected.len() < 120);
         // Every request got at least one verdict, and with three idle-ish
@@ -3076,15 +3107,79 @@ mod tests {
         let (out, log) =
             ServingSim::new_routed(cfg.clone(), &cost, &cl, mixed_deployment(&cl), policy)
                 .unwrap()
-                .run_logged(&trace);
+                .run_logged(&trace)
+                .unwrap();
         let (replayed, replay_log) =
-            ServingSim::new_replayed(cfg, &cost, &cl, mixed_deployment(&cl), &log)
+            ServingSim::new_replayed(cfg.clone(), &cost, &cl, mixed_deployment(&cl), &log)
                 .unwrap()
-                .run_logged(&trace);
+                .run_logged(&trace)
+                .unwrap();
         assert_eq!(out.records, replayed.records);
         assert_eq!(out.rejected, replayed.rejected);
         assert_eq!(out.failed, replayed.failed);
         assert_eq!(log, replay_log, "replay must re-emit the same log");
+
+        // A log cut in half fails cleanly at the first request whose
+        // decisions are gone.
+        let half = &log[..log.len() / 2];
+        let err = ServingSim::new_replayed(cfg, &cost, &cl, mixed_deployment(&cl), half)
+            .unwrap()
+            .run_logged(&trace)
+            .unwrap_err();
+        assert!(err.contains("no further decision for request"), "{err}");
+    }
+
+    #[test]
+    fn replay_rejects_records_that_do_not_fit_the_fleet() {
+        use distserve_router::{DecisionKind, ReplicaId};
+        let cl = cluster();
+        let cost = RooflineModel::a100();
+        let cfg = SimConfig::new(OptModel::Opt13B.arch());
+        // mixed_deployment: 0 = prefill, 1 = decode, 2 = colocated.
+        let disagg = |prefill, decode| Decision::Disagg {
+            prefill: ReplicaId(prefill),
+            decode: ReplicaId(decode),
+        };
+        let replay = |rec: DecisionRecord| {
+            ServingSim::new_replayed(cfg.clone(), &cost, &cl, mixed_deployment(&cl), &[rec])
+                .err()
+                .expect("malformed record accepted")
+        };
+        let err = replay(DecisionRecord::new(7, &disagg(999, 1)));
+        assert!(
+            err.contains("request 7") && err.contains("replica 999"),
+            "{err}"
+        );
+        let err = replay(DecisionRecord::new(8, &disagg(1, 1)));
+        assert!(
+            err.contains("request 8") && err.contains("not Prefill"),
+            "{err}"
+        );
+        let err = replay(DecisionRecord::new(
+            9,
+            &Decision::Coloc {
+                replica: ReplicaId(0),
+            },
+        ));
+        assert!(
+            err.contains("request 9") && err.contains("not Colocated"),
+            "{err}"
+        );
+        for delay in [-1.0, f64::INFINITY, f64::NAN] {
+            let mut rec = DecisionRecord::new(
+                10,
+                &Decision::Queue {
+                    retry_after_secs: 0.1,
+                },
+            );
+            rec.retry_after_secs = delay;
+            assert_eq!(rec.kind, DecisionKind::Queue);
+            let err = replay(rec);
+            assert!(
+                err.contains("request 10") && err.contains("queue delay"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -3102,7 +3197,8 @@ mod tests {
         };
         let (out, log) = ServingSim::new_routed(cfg, &cost, &cl, disagg_deployment(&cl), policy)
             .unwrap()
-            .run_logged(&trace);
+            .run_logged(&trace)
+            .unwrap();
         assert_eq!(out.records.len() + out.rejected.len(), 200);
         assert!(!out.rejected.is_empty(), "overload must shed");
         use distserve_router::DecisionKind;

@@ -10,8 +10,8 @@
 //! threads (the paper notes the algorithm parallelizes almost linearly —
 //! Figure 12).
 
-use crossbeam::thread;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use serde::{Deserialize, Serialize};
 
 use distserve_models::{CostModel, DType, GpuSpec, ModelArch, ParallelismConfig};
@@ -70,6 +70,43 @@ impl SearchParams {
                 .unwrap_or(4)
         };
         avail.min(jobs).max(1)
+    }
+
+    /// Evaluates `f` on every item across [`Self::worker_count`] scoped
+    /// threads that claim indices from a shared cursor, and returns the
+    /// results in input order, so a selection over them does not depend
+    /// on which thread finishes first.
+    pub(crate) fn par_map<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        // The cursor publishes nothing but the index it hands out; the
+        // results reach this thread through `join`, so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
+        let (next, f) = (&next, &f);
+        let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..self.worker_count(items.len()))
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else {
+                                return done;
+                            };
+                            done.push((i, f(item)));
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("search workers do not panic"))
+                .collect()
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -138,53 +175,30 @@ pub fn high_affinity_placement(
     if configs.is_empty() {
         return None;
     }
-    let results: Mutex<Vec<(ParallelismConfig, f64, f64)>> = Mutex::new(Vec::new());
-    let next: Mutex<usize> = Mutex::new(0);
-    let workers = params.worker_count(configs.len());
-
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let idx = {
-                    let mut n = next.lock();
-                    let idx = *n;
-                    *n += 1;
-                    idx
-                };
-                if idx >= configs.len() {
-                    break;
-                }
-                let par = configs[idx];
-                let cfg = PhaseSimConfig::new(arch.clone(), gpu.clone());
-                let pf = max_goodput(
-                    |r| {
-                        let n = probe_count_with(r, params.probe_requests, params.probe_secs);
-                        let trace = source.make_trace(r, n, params.seed);
-                        prefill_attainment(cost, &cfg, par, &trace, slo.ttft)
-                    },
-                    slo.target,
-                    1.0,
-                    params.search_iters,
-                );
-                let dc = max_goodput(
-                    |r| {
-                        let n = probe_count_with(r, params.probe_requests, params.probe_secs);
-                        let trace = source.make_trace(r, n, params.seed);
-                        decode_attainment(cost, &cfg, par, &trace, slo.tpot)
-                    },
-                    slo.target,
-                    1.0,
-                    params.search_iters,
-                );
-                results.lock().push((par, pf, dc));
-            });
-        }
-    })
-    .expect("search workers do not panic");
-
-    let mut results = results.into_inner();
-    // Deterministic selection regardless of thread completion order.
-    results.sort_by_key(|(par, _, _)| (par.tp, par.pp));
+    let results = params.par_map(&configs, |&par| {
+        let cfg = PhaseSimConfig::new(arch.clone(), gpu.clone());
+        let pf = max_goodput(
+            |r| {
+                let n = probe_count_with(r, params.probe_requests, params.probe_secs);
+                let trace = source.make_trace(r, n, params.seed);
+                prefill_attainment(cost, &cfg, par, &trace, slo.ttft)
+            },
+            slo.target,
+            1.0,
+            params.search_iters,
+        );
+        let dc = max_goodput(
+            |r| {
+                let n = probe_count_with(r, params.probe_requests, params.probe_secs);
+                let trace = source.make_trace(r, n, params.seed);
+                decode_attainment(cost, &cfg, par, &trace, slo.tpot)
+            },
+            slo.target,
+            1.0,
+            params.search_iters,
+        );
+        (par, pf, dc)
+    });
 
     let best = |select: &dyn Fn(&(ParallelismConfig, f64, f64)) -> f64| {
         results
@@ -314,6 +328,19 @@ mod tests {
         assert_eq!(a.prefill.par, b.prefill.par);
         assert_eq!(a.decode.par, b.decode.par);
         assert_eq!(a.num_prefill, b.num_prefill);
+    }
+
+    #[test]
+    fn par_map_returns_input_order() {
+        let items: Vec<u64> = (0..97).collect();
+        for threads in [1, 3, 8] {
+            let params = SearchParams {
+                threads,
+                ..SearchParams::default()
+            };
+            let out = params.par_map(&items, |&i| i * i);
+            assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>());
+        }
     }
 
     #[test]

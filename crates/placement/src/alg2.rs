@@ -15,8 +15,6 @@
 //! how the Appendix-B placements like prefill `tp4pp1` + decode `tp2pp2`
 //! arise).
 
-use crossbeam::thread;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use distserve_cluster::Cluster;
@@ -237,36 +235,15 @@ pub fn low_affinity_placement(
         return None;
     }
 
-    let results: Mutex<Vec<(ParallelismConfig, ParallelismConfig, f64)>> = Mutex::new(Vec::new());
-    let next: Mutex<usize> = Mutex::new(0);
-    let workers = params.worker_count(combos.len());
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let idx = {
-                    let mut n = next.lock();
-                    let idx = *n;
-                    *n += 1;
-                    idx
-                };
-                if idx >= combos.len() {
-                    break;
-                }
-                let (p, d) = combos[idx];
-                let goodput = max_goodput(
-                    |r| unit_attainment(cost, cluster, arch, dtype, p, d, source, slo, r, params),
-                    slo.target,
-                    0.5,
-                    params.search_iters,
-                );
-                results.lock().push((p, d, goodput));
-            });
-        }
-    })
-    .expect("search workers do not panic");
-
-    let mut results = results.into_inner();
-    results.sort_by_key(|(p, d, _)| (p.tp, p.pp, d.tp, d.pp));
+    let results = params.par_map(&combos, |&(p, d)| {
+        let goodput = max_goodput(
+            |r| unit_attainment(cost, cluster, arch, dtype, p, d, source, slo, r, params),
+            slo.target,
+            0.5,
+            params.search_iters,
+        );
+        (p, d, goodput)
+    });
     let (p, d, goodput) = results.into_iter().max_by(|a, b| {
         let ga = a.2 / f64::from(a.0.num_gpus() + a.1.num_gpus());
         let gb = b.2 / f64::from(b.0.num_gpus() + b.1.num_gpus());

@@ -7,8 +7,6 @@
 //! keeps the per-GPU best. The paper finds vLLM++ ties plain vLLM on
 //! OPT-13B — interference, not parallelism, is the bottleneck.
 
-use crossbeam::thread;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use distserve_cluster::Cluster;
@@ -141,31 +139,12 @@ pub fn vllm_plus_plus(
     if candidates.is_empty() {
         return None;
     }
-    let results: Mutex<Vec<(ParallelismConfig, f64)>> = Mutex::new(Vec::new());
-    let next: Mutex<usize> = Mutex::new(0);
-    let workers = params.worker_count(candidates.len());
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let idx = {
-                    let mut n = next.lock();
-                    let idx = *n;
-                    *n += 1;
-                    idx
-                };
-                if idx >= candidates.len() {
-                    break;
-                }
-                let par = candidates[idx];
-                let g = vllm_goodput(cost, cluster, arch, dtype, par, source, slo, params);
-                results.lock().push((par, g));
-            });
-        }
-    })
-    .expect("search workers do not panic");
-
-    let mut results = results.into_inner();
-    results.sort_by_key(|(par, _)| (par.tp, par.pp));
+    let results = params.par_map(&candidates, |&par| {
+        (
+            par,
+            vllm_goodput(cost, cluster, arch, dtype, par, source, slo, params),
+        )
+    });
     let (par, goodput) = results.into_iter().max_by(|a, b| {
         (a.1 / f64::from(a.0.num_gpus())).total_cmp(&(b.1 / f64::from(b.0.num_gpus())))
     })?;

@@ -16,10 +16,12 @@
 //!   with tens of millions of requests per wall-clock minute
 //!   (`examples/router_scale.rs`, BENCH_sim.json).
 //!
-//! The engine integration lives in `distserve-engine` (`with_router` /
-//! replay builders on `ServingSim`), and `distserve-core` exposes
-//! `serve_trace_routed` so routed runs flow through the same telemetry
-//! and attribution as direct runs.
+//! The engine integration lives in `distserve-engine`:
+//! `ServingSim::new_routed(cfg, cost, cluster, specs, policy)?
+//! .with_sink(sink).run_logged(&trace)?` routes every arrival and returns
+//! the decision log, and `ServingSim::new_replayed` re-runs from it.
+//! Routed runs flow through the same telemetry and attribution as direct
+//! runs.
 
 pub mod decision;
 pub mod log;

@@ -7,8 +7,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use distserve::cluster::Cluster;
-use distserve::core::{serve_trace, Application, Planner, Table};
-use distserve::engine::FidelityConfig;
+use distserve::core::{Application, Planner, Table};
+use distserve::engine::{ServingSim, SimConfig};
 use distserve::models::RooflineModel;
 use distserve::placement::alg1::SearchParams;
 use distserve::placement::deploy::Deployment;
@@ -62,16 +62,9 @@ fn main() {
         .materialize(&deployment)
         .expect("cluster has capacity");
     let trace = dataset.make_trace(target_rate, 500, 7);
-    let outcome = serve_trace(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        7,
-    )
-    .expect("deployment is valid");
+    let outcome = ServingSim::new(SimConfig::new(arch).with_seed(7), &cost, &cluster, specs)
+        .expect("deployment is valid")
+        .run(&trace);
 
     println!();
     let mut table = Table::new(vec!["metric", "value"]);

@@ -21,8 +21,8 @@
 use std::sync::Arc;
 
 use distserve::cluster::Cluster;
-use distserve::core::{serve_trace_with_sink, Table};
-use distserve::engine::{FidelityConfig, InstanceRole, InstanceSpec};
+use distserve::core::Table;
+use distserve::engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
 use distserve::placement::TraceSource;
 use distserve::telemetry::{Recorder, Recording, TelemetrySink};
@@ -55,17 +55,10 @@ fn main() {
     let trace = dataset.make_trace(4.0, 200, 7);
 
     let rec = Recorder::new();
-    let outcome = serve_trace_with_sink(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        7,
-        &rec,
-    )
-    .expect("deployment is valid");
+    let outcome = ServingSim::new(SimConfig::new(arch).with_seed(7), &cost, &cluster, specs)
+        .expect("deployment is valid")
+        .with_sink(&rec)
+        .run(&trace);
     let snap = rec.snapshot();
     validate(&snap, "sim");
 

@@ -16,8 +16,8 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use distserve::cluster::Cluster;
-use distserve::core::{rate_sweep, serve_trace, Planner, Table};
-use distserve::engine::FidelityConfig;
+use distserve::core::{rate_sweep, Planner, Table};
+use distserve::engine::{ServingSim, SimConfig};
 use distserve::models::{DType, LlamaModel, ModelArch, OptModel, ParallelismConfig, RooflineModel};
 use distserve::placement::alg1::SearchParams;
 use distserve::placement::deploy::Deployment;
@@ -272,15 +272,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     println!("placement: {}", describe(&deployment));
     let specs = planner.materialize(&deployment)?;
     let trace = dataset.make_trace(rate, requests, seed);
-    let outcome = serve_trace(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        seed,
-    )?;
+    let cfg = SimConfig::new(arch).with_seed(seed);
+    let outcome = ServingSim::new(cfg, &cost, &cluster, specs)?.run(&trace);
     let mut table = Table::new(vec!["metric", "value"]);
     table.row(vec![
         "SLO attainment".into(),

@@ -15,12 +15,9 @@ use std::sync::Arc;
 use distserve::cluster::Cluster;
 use distserve::core::recovery::assemble_report;
 use distserve::core::replan::ReplanDecision;
-use distserve::core::{
-    serve_trace_with_faults, serve_trace_with_sink, Application, CapacityObservation, Planner,
-    ReplanController,
-};
+use distserve::core::{Application, CapacityObservation, Planner, ReplanController};
 use distserve::engine::spec::InstanceRole;
-use distserve::engine::{FidelityConfig, InstanceSpec, ServingSim, SimConfig};
+use distserve::engine::{InstanceSpec, ServingSim, SimConfig};
 use distserve::faults::{FaultKind, FaultSchedule, GoodputSample, RetryPolicy};
 use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
 use distserve::observe::ObserverSink;
@@ -161,19 +158,12 @@ fn goodput_recovers_after_capacity_replan() {
     let recorder = Arc::new(Recorder::new());
     let observer = Arc::new(ObserverSink::new(slo.ttft, slo.tpot, 5.0, 128));
     let tee = TeeSink::new(vec![recorder.clone(), observer.clone()]);
-    let out_ab = serve_trace_with_faults(
-        &cost,
-        &cluster,
-        &arch,
-        specs.clone(),
-        &trace_ab,
-        FidelityConfig::ideal(),
-        7,
-        &schedule,
-        RetryPolicy::default(),
-        &tee,
-    )
-    .expect("chaos phase serves");
+    let cfg = SimConfig::new(arch.clone()).with_seed(7);
+    let out_ab = ServingSim::new(cfg, &cost, &cluster, specs.clone())
+        .expect("chaos phase serves")
+        .with_faults(&schedule, RetryPolicy::default())
+        .with_sink(&tee)
+        .run(&trace_ab);
     assert_eq!(
         out_ab.records.len() + out_ab.rejected.len() + out_ab.failed.len(),
         trace_ab.len()
@@ -223,17 +213,11 @@ fn goodput_recovers_after_capacity_replan() {
         })
         .collect();
     let trace_c = Trace::new(cont);
-    let out_c = serve_trace_with_sink(
-        &cost,
-        &cluster,
-        &arch,
-        recovery_specs,
-        &trace_c,
-        FidelityConfig::ideal(),
-        8,
-        &tee,
-    )
-    .expect("recovery phase serves");
+    let cfg = SimConfig::new(arch.clone()).with_seed(8);
+    let out_c = ServingSim::new(cfg, &cost, &cluster, recovery_specs)
+        .expect("recovery phase serves")
+        .with_sink(&tee)
+        .run(&trace_c);
     assert_eq!(
         out_c.records.len() + out_c.rejected.len() + out_c.failed.len(),
         trace_c.len()

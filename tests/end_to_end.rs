@@ -1,8 +1,8 @@
 //! End-to-end integration: plan → materialize → serve, across systems.
 
 use distserve::cluster::Cluster;
-use distserve::core::{rate_sweep, serve_trace, Application, Planner};
-use distserve::engine::{FidelityConfig, InstanceSpec};
+use distserve::core::{rate_sweep, Application, Planner};
+use distserve::engine::{InstanceSpec, ServingSim, SimConfig};
 use distserve::models::RooflineModel;
 use distserve::placement::alg1::SearchParams;
 use distserve::placement::deploy::Deployment;
@@ -24,17 +24,10 @@ fn per_gpu_goodput(
         |rate| {
             let n = probe_count_with(rate, 200, 60.0);
             let trace = app.dataset().make_trace(rate, n, 13);
-            serve_trace(
-                cost,
-                cluster,
-                &arch,
-                specs.to_vec(),
-                &trace,
-                FidelityConfig::ideal(),
-                13,
-            )
-            .map(|o| o.attainment(slo.ttft, slo.tpot))
-            .unwrap_or(0.0)
+            let cfg = SimConfig::new(arch.clone()).with_seed(13);
+            ServingSim::new(cfg, cost, cluster, specs.to_vec())
+                .map(|sim| sim.run(&trace).attainment(slo.ttft, slo.tpot))
+                .unwrap_or(0.0)
         },
         slo.target,
         0.5,
@@ -73,16 +66,9 @@ fn chatbot_13b_full_pipeline() {
     // within SLO (planning probes are coarse, so operators run with
     // headroom — §4.3's replanning absorbs drift).
     let trace = app.dataset().make_trace(8.0 * 0.8, 400, 21);
-    let outcome = serve_trace(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        21,
-    )
-    .expect("valid deployment");
+    let outcome = ServingSim::new(SimConfig::new(arch).with_seed(21), &cost, &cluster, specs)
+        .expect("valid deployment")
+        .run(&trace);
     assert_eq!(outcome.records.len(), 400);
     let att = outcome.attainment(slo.ttft, slo.tpot);
     assert!(att >= 0.85, "planned deployment attains only {att}");
@@ -131,16 +117,10 @@ fn disaggregation_dominates_colocation_latency() {
         let trace = app
             .dataset()
             .make_trace(rate, ((rate * 60.0) as usize).max(300), seed);
-        serve_trace(
-            &cost,
-            &cluster,
-            &arch,
-            specs,
-            &trace,
-            FidelityConfig::ideal(),
-            seed,
-        )
-        .expect("valid deployment")
+        let cfg = SimConfig::new(arch.clone()).with_seed(seed);
+        ServingSim::new(cfg, &cost, &cluster, specs)
+            .expect("valid deployment")
+            .run(&trace)
     };
     for seed in [13u64, 14, 15] {
         let ds = run(ds_specs.clone(), ds_gpus, seed);
@@ -244,16 +224,9 @@ fn high_affinity_plan_on_ib_cluster() {
     let specs = planner.materialize(&deployment).expect("fits");
     // Serve with 20% headroom below the planned rate.
     let trace = app.dataset().make_trace(6.0 * 0.8, 300, 33);
-    let outcome = serve_trace(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        33,
-    )
-    .unwrap();
+    let outcome = ServingSim::new(SimConfig::new(arch).with_seed(33), &cost, &cluster, specs)
+        .unwrap()
+        .run(&trace);
     let att = outcome.attainment(slo.ttft, slo.tpot);
     assert!(att >= 0.8, "attainment {att}");
 }
@@ -266,7 +239,6 @@ fn high_affinity_plan_on_ib_cluster() {
 /// any intentional routing change.
 #[test]
 fn golden_replay_fixture_reproduces_routed_run() {
-    use distserve::core::{serve_trace_replayed, serve_trace_routed};
     use distserve::models::{OptModel, ParallelismConfig};
     use distserve::router::{log_from_json, log_to_json, RouterPolicy};
     use distserve::workload::Dataset;
@@ -281,17 +253,16 @@ fn golden_replay_fixture_reproduces_routed_run() {
     let specs = planner.materialize(&plan).expect("fits");
     let trace = Dataset::ShareGpt.make_trace(3.0, 40, 21);
 
-    let (live, log) = serve_trace_routed(
+    let cfg = SimConfig::new(arch).with_seed(21);
+    let (live, log) = ServingSim::new_routed(
+        cfg.clone(),
         &cost,
         &cluster,
-        &arch,
         specs.clone(),
-        &trace,
-        FidelityConfig::ideal(),
-        21,
         RouterPolicy::default(),
-        &distserve::telemetry::NOOP,
     )
+    .expect("routed topology")
+    .run_logged(&trace)
     .expect("routed run");
     let json = log_to_json(&log).expect("serializes");
 
@@ -310,18 +281,11 @@ fn golden_replay_fixture_reproduces_routed_run() {
     );
 
     let fixture_log = log_from_json(&golden).expect("fixture parses");
-    let (replayed, replay_log) = serve_trace_replayed(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        21,
-        &fixture_log,
-        &distserve::telemetry::NOOP,
-    )
-    .expect("replayed run");
+    let (replayed, replay_log) =
+        ServingSim::new_replayed(cfg, &cost, &cluster, specs, &fixture_log)
+            .expect("fixture fits the fleet")
+            .run_logged(&trace)
+            .expect("replayed run");
     assert_eq!(replayed.records, live.records, "byte-identical outcome");
     assert_eq!(replayed.rejected, live.rejected);
     assert_eq!(replayed.failed, live.failed);

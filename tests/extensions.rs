@@ -3,10 +3,7 @@
 //! prefill, burstiness handling, and sampling.
 
 use distserve::cluster::Cluster;
-use distserve::core::serve_trace;
-use distserve::engine::{
-    ColocatedPolicy, FidelityConfig, InstanceRole, InstanceSpec, ServingSim, SimConfig,
-};
+use distserve::engine::{ColocatedPolicy, InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve::models::{
     CostModel, DType, DecodeBatch, LlamaModel, ModelArch, OptModel, ParallelismConfig,
     RooflineModel,
@@ -131,16 +128,10 @@ fn chunked_prefill_trades_ttft_for_tpot() {
             prefill_token_budget: 2048,
             chunked_prefill: chunk,
         });
-        serve_trace(
-            &cost,
-            &cluster,
-            &arch,
-            vec![spec],
-            &trace,
-            FidelityConfig::ideal(),
-            17,
-        )
-        .unwrap()
+        let cfg = SimConfig::new(arch.clone()).with_seed(17);
+        ServingSim::new(cfg, &cost, &cluster, vec![spec])
+            .unwrap()
+            .run(&trace)
     };
     let alt = run(None);
     let chunked = run(Some(256));
@@ -174,16 +165,10 @@ fn bursty_arrivals_never_overflow_memory() {
         .arrival(ArrivalProcess::bursty(3.0, 4.0))
         .num_requests(500)
         .build(&mut rng);
-    let out = serve_trace(
-        &cost,
-        &cluster,
-        &arch,
-        disagg_specs(&cluster),
-        &trace,
-        FidelityConfig::ideal(),
-        99,
-    )
-    .unwrap();
+    let cfg = SimConfig::new(arch).with_seed(99);
+    let out = ServingSim::new(cfg, &cost, &cluster, disagg_specs(&cluster))
+        .unwrap()
+        .run(&trace);
     assert_eq!(out.records.len(), 500);
     for s in &out.instances {
         assert!(
@@ -244,16 +229,9 @@ fn segment_paired_175b_unit_serves_within_slo() {
     )
     .unwrap();
     let trace = Dataset::ShareGpt.make_trace(1.2, 300, 3);
-    let out = serve_trace(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        3,
-    )
-    .unwrap();
+    let out = ServingSim::new(SimConfig::new(arch).with_seed(3), &cost, &cluster, specs)
+        .unwrap()
+        .run(&trace);
     let att = out.attainment(4.0, 0.2);
     assert!(att >= 0.9, "175B unit attains only {att}");
     // All transfers rode NVLink: wire times must be tiny despite the

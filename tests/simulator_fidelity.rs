@@ -7,8 +7,8 @@
 //! and transfer launch latency the idealized planner ignores.
 
 use distserve::cluster::Cluster;
-use distserve::core::{serve_trace, Application};
-use distserve::engine::{FidelityConfig, InstanceRole, InstanceSpec};
+use distserve::core::Application;
+use distserve::engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve::models::{ParallelismConfig, RooflineModel};
 use distserve::placement::alg2::unit_specs;
 use distserve::placement::TraceSource;
@@ -34,26 +34,13 @@ fn fidelity_gap_is_small_across_rates() {
 
     for rate in [1.0, 2.0, 4.0, 6.0, 8.0] {
         let trace = app.dataset().make_trace(rate, 600, 77);
-        let ideal = serve_trace(
-            &cost,
-            &cluster,
-            &arch,
-            specs.clone(),
-            &trace,
-            FidelityConfig::ideal(),
-            77,
-        )
-        .unwrap();
-        let detailed = serve_trace(
-            &cost,
-            &cluster,
-            &arch,
-            specs.clone(),
-            &trace,
-            FidelityConfig::detailed(),
-            77,
-        )
-        .unwrap();
+        let cfg = SimConfig::new(arch.clone()).with_seed(77);
+        let ideal = ServingSim::new(cfg.clone(), &cost, &cluster, specs.clone())
+            .unwrap()
+            .run(&trace);
+        let detailed = ServingSim::new(cfg.detailed(), &cost, &cluster, specs.clone())
+            .unwrap()
+            .run(&trace);
         let a_ideal = ideal.attainment(slo.ttft, slo.tpot);
         let a_detailed = detailed.attainment(slo.ttft, slo.tpot);
         let gap = (a_ideal - a_detailed).abs();
@@ -88,12 +75,14 @@ fn colocated_fidelity_gap_is_small() {
 
     for rate in [0.5, 1.0, 1.5] {
         let trace = app.dataset().make_trace(rate, 400, 55);
-        let run = |fid: FidelityConfig| {
-            serve_trace(&cost, &cluster, &arch, vec![spec.clone()], &trace, fid, 55)
+        let run = |cfg: SimConfig| {
+            ServingSim::new(cfg, &cost, &cluster, vec![spec.clone()])
                 .unwrap()
+                .run(&trace)
                 .attainment(slo.ttft, slo.tpot)
         };
-        let gap = (run(FidelityConfig::ideal()) - run(FidelityConfig::detailed())).abs();
+        let cfg = SimConfig::new(arch.clone()).with_seed(55);
+        let gap = (run(cfg.clone()) - run(cfg.detailed())).abs();
         assert!(gap < 0.08, "rate {rate}: gap {gap:.3}");
     }
 }
@@ -108,16 +97,10 @@ fn detailed_jitter_is_deterministic() {
     let (cluster, specs) = testbed_unit();
     let trace = app.dataset().make_trace(3.0, 300, 91);
     let run = || {
-        serve_trace(
-            &cost,
-            &cluster,
-            &arch,
-            specs.clone(),
-            &trace,
-            FidelityConfig::detailed(),
-            91,
-        )
-        .unwrap()
+        let cfg = SimConfig::new(arch.clone()).with_seed(91).detailed();
+        ServingSim::new(cfg, &cost, &cluster, specs.clone())
+            .unwrap()
+            .run(&trace)
     };
     let a = run();
     let b = run();
