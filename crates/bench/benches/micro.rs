@@ -9,6 +9,7 @@
 
 use criterion::{BatchSize, Criterion};
 
+use distserve_bench::overhead::{prefilled_batcher, prompt, DECODE_STEPS, PROMPT_LEN};
 use distserve_engine::pipeline::Pipeline;
 use distserve_engine::KvBlockManager;
 use distserve_models::{
@@ -157,31 +158,6 @@ fn bench_gemm_shapes(c: &mut Criterion) {
     }
 }
 
-// Serving-shaped decode workload: real traces (e.g. ShareGPT, §6 of the
-// paper) carry prompts of tens-to-hundreds of tokens and comparable
-// outputs, so decode attends over substantial context. 32-token prompts
-// with 64 decoded tokens keep the bench fast while exercising contexts
-// of 32..96 positions rather than toy single-digit ones.
-const DECODE_STEPS: usize = 64;
-const PROMPT_LEN: usize = 32;
-
-/// A batcher with `batch` requests already prefilled and ready to decode
-/// `DECODE_STEPS` tokens each.
-fn prefilled_batcher(model: &tinyllm::Model, batch: usize) -> ContinuousBatcher {
-    let mut b = ContinuousBatcher::new(model.clone(), 8192);
-    for i in 0..batch {
-        b.submit(GenRequest {
-            id: i as u64,
-            prompt: (0..PROMPT_LEN)
-                .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                .collect(),
-            max_new: DECODE_STEPS + 2,
-        });
-    }
-    b.step(); // Prefill all requests (well under the token budget).
-    b
-}
-
 /// Prefill and decode throughput on `TinyConfig::small()`: the fused
 /// batched scheduler at batch 1/4/16 versus the token-at-a-time seed
 /// path (one `forward_token` per sequence per step) on the same batch-16
@@ -233,7 +209,7 @@ fn bench_tinyllm_throughput(c: &mut Criterion) {
     for batch in [1usize, 4, 16] {
         c.bench_function(&format!("tinyllm/decode_batch{batch}"), |b| {
             b.iter_batched(
-                || prefilled_batcher(&model, batch),
+                || prefilled_batcher(&model, batch, None),
                 |mut batcher| {
                     for _ in 0..DECODE_STEPS {
                         batcher.step();
@@ -255,11 +231,8 @@ fn bench_tinyllm_throughput(c: &mut Criterion) {
                 for i in 0..16usize {
                     let seq = i as u64;
                     kv.register(seq);
-                    let prompt: Vec<u32> = (0..PROMPT_LEN)
-                        .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                        .collect();
                     let mut logits = Vec::new();
-                    for (pos, &t) in prompt.iter().enumerate() {
+                    for (pos, &t) in prompt(i).iter().enumerate() {
                         logits = model.forward_token(seq, pos, t, &mut kv);
                     }
                     let first = tinyllm::tensor::argmax(&logits) as u32;
@@ -293,11 +266,8 @@ fn bench_tinyllm_throughput(c: &mut Criterion) {
                 for i in 0..16usize {
                     let seq = i as u64;
                     kv.register(seq);
-                    let prompt: Vec<u32> = (0..PROMPT_LEN)
-                        .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                        .collect();
                     let mut logits = Vec::new();
-                    for (pos, &t) in prompt.iter().enumerate() {
+                    for (pos, &t) in prompt(i).iter().enumerate() {
                         logits = seed_model.forward_token(seq, pos, t, &mut kv);
                     }
                     let first = seed_argmax(&logits) as u32;
@@ -333,7 +303,7 @@ fn paired_decode_times(model: &tinyllm::Model, seed_model: &SeedModel) -> (f64, 
     let mut fused_s = 0.0;
     let mut seed_s = 0.0;
     for _ in 0..ROUNDS {
-        let mut batcher = prefilled_batcher(model, 16);
+        let mut batcher = prefilled_batcher(model, 16, None);
         let t = std::time::Instant::now();
         for _ in 0..DECODE_STEPS {
             batcher.step();
@@ -347,11 +317,8 @@ fn paired_decode_times(model: &tinyllm::Model, seed_model: &SeedModel) -> (f64, 
         for i in 0..16usize {
             let seq = i as u64;
             kv.register(seq);
-            let prompt: Vec<u32> = (0..PROMPT_LEN)
-                .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                .collect();
             let mut logits = Vec::new();
-            for (pos, &t) in prompt.iter().enumerate() {
+            for (pos, &t) in prompt(i).iter().enumerate() {
                 logits = seed_model.forward_token(seq, pos, t, &mut kv);
             }
             let first = seed_argmax(&logits) as u32;
@@ -389,7 +356,7 @@ fn scaling_sweep() -> (usize, Vec<ScalePoint>, f64) {
     let time_decode = |model: &tinyllm::Model, batch: usize| -> f64 {
         let mut total = 0.0;
         for _ in 0..ROUNDS {
-            let mut batcher = prefilled_batcher(model, batch);
+            let mut batcher = prefilled_batcher(model, batch, None);
             let start = std::time::Instant::now();
             for _ in 0..DECODE_STEPS {
                 batcher.step();

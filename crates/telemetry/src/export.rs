@@ -17,7 +17,11 @@ use crate::registry::MetricsRegistry;
 /// Pseudo-track (Chrome `pid`) carrying request lifecycle instants.
 pub const LIFECYCLE_TRACK: u64 = 1_000_000;
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes and control characters; everything else passes through
+/// as UTF-8.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -56,7 +56,7 @@ pub use event::{
     metrics, span_flags, trace_id, Event, LifecycleEvent, RequestKey, Slice, SpanEvent, SpanGuard,
     SpanKind, TenantId, TraceCtx, TrackId, WallClock, NO_PARENT,
 };
-pub use export::{prometheus_text, LIFECYCLE_TRACK};
+pub use export::{json_escape, prometheus_text, LIFECYCLE_TRACK};
 pub use recorder::{Lifecycle, Recorder, Recording};
 pub use registry::{LogHistogram, MetricsRegistry};
 pub use sink::{NoopSink, TeeSink, TelemetrySink, NOOP};

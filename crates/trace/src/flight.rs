@@ -15,7 +15,7 @@
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 
-use distserve_telemetry::{Event, TelemetrySink};
+use distserve_telemetry::{json_escape, Event, TelemetrySink};
 
 struct Ring {
     buf: Vec<Event>,
@@ -90,7 +90,7 @@ impl FlightRecorder {
             out,
             "{{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{{\"name\":\
              \"flight recorder: {} ({} retained of {} seen)\"}}}}",
-            reason.escape_default(),
+            json_escape(reason),
             window.len(),
             total
         );
@@ -198,6 +198,19 @@ mod tests {
         assert!(json.contains("(2 retained of 2 seen)"));
         assert_eq!(json.matches("\"ph\":\"i\"").count(), 2);
         assert!(json.contains("\"ts\":500000"));
+    }
+
+    #[test]
+    fn dump_is_valid_json_for_any_reason() {
+        let fr = FlightRecorder::new(4);
+        fr.event(ev(1, 0.5));
+        let reason = "tenant 'flood' \"burned\" — budget\nexhausted";
+        let dump: serde_json::Value =
+            serde_json::from_str(&fr.dump_perfetto(reason)).expect("dump parses as JSON");
+        assert_eq!(
+            dump["traceEvents"][0]["args"]["name"].as_str(),
+            Some(format!("flight recorder: {reason} (1 retained of 1 seen)").as_str())
+        );
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //!    with a `SpanSynthesizer` (lifecycle → spans, same tail sampler
 //!    policy) and a `FlightRecorder` teed in; the storm's first fault
 //!    triggers a Perfetto dump of the last moments before impact.
-//! 3. **Overhead.** PR 2's harness, extended: the real `tinyllm`
-//!    decode hot path with the no-op sink versus the full tracing
-//!    chain (synthesizer → tail sampler), interleaved rounds, <3%
-//!    budget.
+//!
+//! The tracing chain's cost on the real engine's decode hot path is
+//! measured by `cargo bench -p distserve-bench --bench overhead`.
 //!
 //! Writes `BENCH_trace.json`, `trace_waterfalls.json` (Perfetto; load
 //! in ui.perfetto.dev), `flight_recorder.json`, and
@@ -47,7 +46,6 @@ use distserve::trace::{
 };
 use distserve::workload::datasets::FixedLengths;
 use distserve::workload::{Dataset, MultiTenantMix, TenantSpec};
-use tinyllm::{ContinuousBatcher, GenRequest, Model, TinyConfig};
 
 /// Same fleet as `router_scale`: 6 prefill + 8 colocated entry replicas
 /// absorb ~200 rps within SLO.
@@ -285,80 +283,6 @@ fn storm_flight(sampler: &Arc<TailSampler>) -> (distserve::trace::IncidentDump, 
     (dump, recorder.total_seen())
 }
 
-/// Part 3: tracing overhead on the real engine's decode hot path,
-/// interleaved no-op vs. full chain rounds (see
-/// `crates/bench/benches/telemetry_overhead.rs` for why interleaved).
-/// On a single shared vCPU an interference spell still lands inside one
-/// half of a round, so the aggregate is the *median* of the paired
-/// per-round ratios (robust to outlier rounds) with the run order
-/// alternated each round to cancel slow drift.
-fn overhead_bench(rounds: usize) -> (f64, f64) {
-    const DECODE_STEPS: usize = 64;
-    const BATCH: usize = 16;
-    let model = Model::random(&TinyConfig::small(), 5);
-    let time_decode = |sink: Option<Arc<dyn TelemetrySink>>| -> f64 {
-        let mut b = ContinuousBatcher::new(model.clone(), 8192);
-        if let Some(sink) = sink {
-            b = b.with_sink(sink, 0);
-        }
-        for i in 0..BATCH {
-            b.submit(GenRequest {
-                id: i as u64,
-                prompt: (0..32).map(|p| ((i * 17 + p * 5) % 512) as u32).collect(),
-                max_new: DECODE_STEPS + 2,
-            });
-        }
-        b.step();
-        let t = Instant::now();
-        for _ in 0..DECODE_STEPS {
-            b.step();
-        }
-        std::hint::black_box(b.steps());
-        t.elapsed().as_secs_f64()
-    };
-    // Fresh chain per round: steady-state cost, not buffer growth.
-    let traced = || {
-        let sampler = Arc::new(TailSampler::new(TailSamplerConfig::default()));
-        let synth = Arc::new(SpanSynthesizer::new(sampler, 5).with_slos(5.0, 1.0));
-        time_decode(Some(synth))
-    };
-    let warmup = 2;
-    let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(rounds);
-    let mut round = 0usize;
-    let mut target = warmup + rounds;
-    // A single-digit-percent gate on rounds of a few ms each sits inside
-    // this host's noise band, so precision is adaptive: while the median
-    // ratio is within a point of the 3% threshold, keep collecting pairs
-    // (the estimator tightens as ~1/√rounds) up to a hard cap.
-    let cap = warmup + rounds * 5;
-    let median_ratio = loop {
-        while round < target {
-            let (n, t) = if round.is_multiple_of(2) {
-                let n = time_decode(None);
-                (n, traced())
-            } else {
-                let t = traced();
-                (time_decode(None), t)
-            };
-            if round >= warmup {
-                pairs.push((n, t));
-            }
-            round += 1;
-        }
-        let mut ratios: Vec<f64> = pairs.iter().map(|(n, t)| t / n).collect();
-        ratios.sort_by(f64::total_cmp);
-        let median = ratios[ratios.len() / 2];
-        if !(1.02..1.04).contains(&median) || target >= cap {
-            break median;
-        }
-        target = (target + rounds).min(cap);
-    };
-    let mut noops: Vec<f64> = pairs.iter().map(|(n, _)| *n).collect();
-    noops.sort_by(f64::total_cmp);
-    let median_noop = noops[noops.len() / 2];
-    (median_noop, median_noop * median_ratio)
-}
-
 fn main() {
     let n: u64 = std::env::var("TRACE_FLIGHT_REQUESTS")
         .ok()
@@ -468,19 +392,6 @@ fn main() {
     std::fs::write("trace_dashboard.html", &html).expect("write trace_dashboard.html");
     println!("  wrote trace_dashboard.html ({} bytes)", html.len());
 
-    // --- Part 3: overhead ------------------------------------------------
-    let rounds: usize = 17;
-    let (noop_s, traced_s) = overhead_bench(rounds);
-    let overhead_pct = (traced_s / noop_s - 1.0) * 100.0;
-    println!(
-        "  overhead: noop {:.3} ms, traced {:.3} ms → {overhead_pct:+.2}% (budget 3%)",
-        noop_s * 1e3,
-        traced_s * 1e3
-    );
-    if overhead_pct >= 3.0 {
-        eprintln!("  WARN: tracing overhead {overhead_pct:.2}% is over the 3% budget on this host");
-    }
-
     let provenance = distserve_bench::sentinel::Provenance::capture("trace_flight diurnal", 7);
     let prov_json = serde_json::to_string(&provenance.value()).expect("serialize provenance stamp");
     let json = format!(
@@ -496,11 +407,7 @@ fn main() {
             "  \"throttled_tenants\": {},\n",
             "  \"replan_armed\": {},\n",
             "  \"peak_rss_before_kib\": {},\n",
-            "  \"peak_rss_after_kib\": {},\n",
-            "  \"noop_ms\": {:.4},\n",
-            "  \"traced_ms\": {:.4},\n",
-            "  \"overhead_pct\": {:.4},\n",
-            "  \"budget_pct\": 3.0\n",
+            "  \"peak_rss_after_kib\": {}\n",
             "}}\n"
         ),
         prov_json,
@@ -514,9 +421,6 @@ fn main() {
         run.replan_armed,
         rss_before.unwrap_or(0),
         rss_after.unwrap_or(0),
-        noop_s * 1e3,
-        traced_s * 1e3,
-        overhead_pct,
     );
     std::fs::write("BENCH_trace.json", &json).expect("write BENCH_trace.json");
     println!("  wrote BENCH_trace.json");

@@ -47,6 +47,31 @@ fn negative_integers_parse_exactly_or_fail() {
 }
 
 #[test]
+fn overflowing_floats_are_rejected() {
+    assert_eq!(parse("1e308").unwrap(), Value::Float(1e308));
+    for overflow in ["1e999", "-1e999", "[1e999]"] {
+        assert!(parse(overflow).is_err(), "{overflow} parsed");
+    }
+}
+
+#[test]
+fn integer_fields_take_only_exact_in_range_numbers() {
+    assert_eq!(serde_json::from_str::<u32>("7").unwrap(), 7);
+    assert_eq!(serde_json::from_str::<u32>("7.0").unwrap(), 7);
+    assert_eq!(serde_json::from_str::<i64>("-3").unwrap(), -3);
+    assert!(serde_json::from_str::<u64>("-1").is_err());
+    assert!(serde_json::from_str::<u32>("2.9").is_err());
+    assert!(serde_json::from_str::<u8>("256").is_err());
+    assert!(serde_json::from_str::<i64>("18446744073709551615").is_err());
+    assert!(serde_json::from_str::<u64>("1e300").is_err());
+    let record = r#"[{"request": -1, "kind": "Coloc", "target": 0, "decode": -1,
+        "retry_after_secs": 0.0, "over_capacity": false, "trace_id": 1,
+        "prefix_group": 0, "matched_tokens": 0}]"#;
+    assert!(log_from_json(record).is_err());
+    assert!(log_from_json(&record.replace("-1, \"kind\"", "0, \"kind\"")).is_ok());
+}
+
+#[test]
 fn deep_nesting_is_an_error_not_a_stack_overflow() {
     // 2 MiB is the default stack of a spawned thread, where a server
     // would parse an uploaded log.
